@@ -41,9 +41,9 @@ print(f"\nafter (new rows only):\n{subgroup_counts(report.produced)}")
 # each batch of k consecutive rows shares one weight; show the first few
 print("\nfirst three batches (x1, x2, y, z):")
 for row in range(9):
-    s = report.produced[row]
+    x, y, z = report.produced.x[row], report.produced.y[row], report.produced.z[row]
     marker = "|" if row % config.k == 0 else " "
-    print(f" {marker} {s.x[0]:+6.3f} {s.x[1]:+6.3f}  y={s.y} z={s.z}")
+    print(f" {marker} {x[0]:+6.3f} {x[1]:+6.3f}  y={y} z={z}")
 
 print(
     "\nAll mass stays inside the two paired subgroups: the augmenter can"

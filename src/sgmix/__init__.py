@@ -20,12 +20,10 @@ from .augment import (
 from .data import (
     ALL_SUBGROUPS,
     Dataset,
-    Sample,
     SubgroupKey,
     concat,
     subgroup_counts,
     subgroup_indices,
-    subgroup_proportions,
     validate,
 )
 from .harness import (
@@ -55,8 +53,8 @@ from .models import (
     train_forest,
     train_mlp,
 )
-from .neighbors import NeighborResult, euclidean_distance, knn_in_subgroup
-from .rng import RngStream, beta_sample, derive_seed, gaussian_vector, uniform_index
+from .neighbors import NeighborResult, knn_in_subgroup
+from .rng import RngStream, beta_sample, derive_seed, uniform_index
 from .synth import (
     SCENARIO_NAMES,
     ScenarioConfig,
@@ -92,7 +90,6 @@ __all__ = [
     "ResultTable",
     "RngStream",
     "SCENARIO_NAMES",
-    "Sample",
     "ScenarioConfig",
     "ShiftSpec",
     "SubgroupKey",
@@ -107,11 +104,9 @@ __all__ = [
     "dp_gap",
     "dump_augmented_csv",
     "emit_results",
-    "euclidean_distance",
     "evaluate",
     "fairness_score",
     "fsgm_augment",
-    "gaussian_vector",
     "gen_conditional_gaussian",
     "group_swap_augment",
     "knn_in_subgroup",
@@ -130,7 +125,6 @@ __all__ = [
     "shift_vectors",
     "subgroup_counts",
     "subgroup_indices",
-    "subgroup_proportions",
     "train_forest",
     "train_mlp",
     "train_test_split",

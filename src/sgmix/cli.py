@@ -1,58 +1,31 @@
 """Command-line entry point: run an experiment and write the results CSV.
 
-Settings come from three layers: built-in defaults, then a `key = value`
+Settings come from three layers: the dataclass defaults, then a `key = value`
 config file (--config), then command-line flags; later layers win. Exactly
 one data source must end up set: a named scenario or a CSV path.
 """
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 
-import numpy as np
-
-from .harness import (
-    DEFAULT_ALPHA_GRID,
-    METHODS,
-    MODEL_KINDS,
-    ExperimentConfig,
-    emit_results,
-    run_experiment,
-)
+from .harness import METHODS, MODEL_KINDS, ExperimentConfig, emit_results, run_experiment
 from .models import ForestSpec, MlpSpec
-from .synth import SCENARIO_NAMES, ShiftSpec
+from .synth import SCENARIO_NAMES, preset_scenario
 from .tabular import CsvSchema, load_config
-
-KNOWN_KEYS = {
-    "experiment.seed", "experiment.replicates", "experiment.methods",
-    "experiment.models", "experiment.alpha_grid", "experiment.test_fraction",
-    "experiment.validation_fraction", "experiment.leaky_alpha_selection",
-    "experiment.out",
-    "scenario.name", "scenario.class_shift", "scenario.group_shift",
-    "scenario.angle", "scenario.dim",
-    "scenario.t00", "scenario.t01", "scenario.t10", "scenario.t11",
-    "fsgm.k", "fsgm.alpha", "fsgm.pairs", "fsgm.standardize",
-    "forest.n_trees", "forest.max_depth", "forest.min_leaf",
-    "forest.features_per_split",
-    "mlp.hidden_units", "mlp.epochs", "mlp.learning_rate", "mlp.batch_size",
-    "csv.path", "csv.features", "csv.label_column", "csv.label_positive",
-    "csv.label_negative", "csv.group_column", "csv.group_positive",
-    "csv.group_negative", "csv.delimiter",
-    "output.dump_augmented",
-}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.lower()
     if low in _TRUE:
         return True
     if low in _FALSE:
         return False
-    raise ValueError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _parse_pairs(text: str):
@@ -73,178 +46,160 @@ def _parse_pairs(text: str):
     return tuple(pairs)
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in text.split(","))
+
+
+def _column_names(text: str) -> tuple[str, ...]:
+    return tuple(name for name in _comma_list(text) if name)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _spec_settings(prefix: str, spec) -> dict:
+    """One int or float setting per spec field, except the derived seed."""
+    return {
+        f"{prefix}.{f.name}": (prefix, f.name, float if f.type in ("float", float) else int)
+        for f in dataclasses.fields(spec) if f.name != "seed"
+    }
+
+
+# Every config key: the part it builds, the field it sets there, its parser.
+# Parts: "experiment" is ExperimentConfig; "shifts" is the scenario preset's
+# ShiftSpec; "counts" is its training counts, set per [y, z] cell; "forest",
+# "mlp" and "csv" are ForestSpec, MlpSpec and CsvSchema. A key left unset
+# keeps the default of its dataclass or preset.
+SETTINGS = {
+    "experiment.seed": ("experiment", "seed", int),
+    "experiment.out": ("experiment", "out", str),
+    "experiment.methods": ("experiment", "methods", _comma_list),
+    "experiment.models": ("experiment", "models", _comma_list),
+    "experiment.replicates": ("experiment", "replicates", int),
+    "experiment.alpha_grid": ("experiment", "alpha_grid", _floats),
+    "experiment.test_fraction": ("experiment", "test_fraction", float),
+    "experiment.validation_fraction": ("experiment", "validation_fraction", float),
+    "experiment.leaky_alpha_selection": ("experiment", "leaky_alpha_selection", _parse_bool),
+    "scenario.name": ("experiment", "scenario", str),
+    "scenario.class_shift": ("shifts", "class_shift_magnitude", float),
+    "scenario.group_shift": ("shifts", "group_shift_magnitude", float),
+    "scenario.angle": ("shifts", "angle", float),
+    "scenario.dim": ("shifts", "dim", int),
+    **{f"scenario.t{y}{z}": ("counts", (y, z), int) for y in (0, 1) for z in (0, 1)},
+    "fsgm.k": ("experiment", "k", int),
+    "fsgm.alpha": ("experiment", "fixed_alpha", float),
+    "fsgm.pairs": ("experiment", "pairs", _parse_pairs),
+    "fsgm.standardize": ("experiment", "standardize_knn", _parse_bool),
+    **_spec_settings("forest", ForestSpec),
+    **_spec_settings("mlp", MlpSpec),
+    "csv.path": ("experiment", "csv_path", str),
+    "csv.features": ("csv", "feature_columns", _column_names),
+    **{f"csv.{f.name}": ("csv", f.name, str)
+       for f in dataclasses.fields(CsvSchema) if f.name != "feature_columns"},
+    "output.dump_augmented": ("experiment", "dump_augmented", str),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags store their raw text under a SETTINGS key; SETTINGS parses it."""
     parser = argparse.ArgumentParser(
         prog="sgmix",
         description="Subgroup-mixup fairness experiments on synthetic or CSV data.",
     )
     parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--scenario", choices=SCENARIO_NAMES,
+    parser.add_argument("--seed", dest="experiment.seed", help="master seed (default 0)")
+    parser.add_argument("--scenario", dest="scenario.name", choices=SCENARIO_NAMES,
                         help="named synthetic scenario")
-    parser.add_argument("--csv", help="path to a CSV dataset (needs csv.* schema keys)")
-    parser.add_argument("--out", help="path for the results CSV")
-    parser.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
-    parser.add_argument("--models", help="comma list from: " + ",".join(MODEL_KINDS))
-    parser.add_argument("--replicates", type=int)
-    parser.add_argument("--alpha-grid", help="comma list of positive reals")
-    parser.add_argument("--alpha", type=float,
+    parser.add_argument("--csv", dest="csv.path",
+                        help="path to a CSV dataset (needs csv.* schema keys)")
+    parser.add_argument("--out", dest="experiment.out", help="path for the results CSV")
+    parser.add_argument("--methods", dest="experiment.methods",
+                        help="comma list from: " + ",".join(METHODS))
+    parser.add_argument("--models", dest="experiment.models",
+                        help="comma list from: " + ",".join(MODEL_KINDS))
+    parser.add_argument("--replicates", dest="experiment.replicates")
+    parser.add_argument("--alpha-grid", dest="experiment.alpha_grid",
+                        help="comma list of positive reals")
+    parser.add_argument("--alpha", dest="fsgm.alpha",
                         help="fixed mixing alpha; disables the grid search")
-    parser.add_argument("--k", type=int, help="neighbors per source draw")
-    parser.add_argument("--test-fraction", type=float)
-    parser.add_argument("--dump-augmented",
+    parser.add_argument("--k", dest="fsgm.k", help="neighbors per source draw")
+    parser.add_argument("--test-fraction", dest="experiment.test_fraction")
+    parser.add_argument("--dump-augmented", dest="output.dump_augmented",
                         help="base path; per-method augmented training sets "
                              "of replicate 0 are written next to it")
-    parser.add_argument("--leaky-alpha-selection", action="store_true", default=None,
+    parser.add_argument("--leaky-alpha-selection", dest="experiment.leaky_alpha_selection",
+                        action="store_const", const="true",
                         help="select alpha on the test set (leaks test data; "
                              "off by default)")
     return parser
 
 
 def _merged_settings(args) -> dict[str, str]:
-    settings: dict[str, str] = {}
-    if args.config:
-        file_settings = load_config(args.config)
-        unknown = sorted(set(file_settings) - KNOWN_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        settings.update(file_settings)
-    cli_map = {
-        "experiment.seed": args.seed,
-        "scenario.name": args.scenario,
-        "csv.path": args.csv,
-        "experiment.out": args.out,
-        "experiment.methods": args.methods,
-        "experiment.models": args.models,
-        "experiment.replicates": args.replicates,
-        "experiment.alpha_grid": args.alpha_grid,
-        "fsgm.alpha": args.alpha,
-        "fsgm.k": args.k,
-        "experiment.test_fraction": args.test_fraction,
-        "output.dump_augmented": args.dump_augmented,
-        "experiment.leaky_alpha_selection": args.leaky_alpha_selection,
-    }
-    for key, value in cli_map.items():
-        if value is not None:
-            settings[key] = str(value)
+    settings = load_config(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key != "config" and value is not None:
+            settings[key] = value
     return settings
 
 
-def _schema_from(settings: dict[str, str]) -> CsvSchema:
-    required = ("csv.features", "csv.label_column", "csv.label_positive",
-                "csv.group_column", "csv.group_positive")
-    missing = [key for key in required if key not in settings]
+def _schema_from(fields: dict) -> CsvSchema:
+    required = [f.name for f in dataclasses.fields(CsvSchema)
+                if f.default is dataclasses.MISSING]
+    missing = sorted(key for key, (part, name, _) in SETTINGS.items()
+                     if part == "csv" and name in required and name not in fields)
     if missing:
         raise ValueError(f"CSV input needs config keys: {missing}")
-    return CsvSchema(
-        feature_columns=tuple(
-            name.strip() for name in settings["csv.features"].split(",") if name.strip()
-        ),
-        label_column=settings["csv.label_column"],
-        label_positive=settings["csv.label_positive"],
-        label_negative=settings.get("csv.label_negative"),
-        group_column=settings["csv.group_column"],
-        group_positive=settings["csv.group_positive"],
-        group_negative=settings.get("csv.group_negative"),
-        delimiter=settings.get("csv.delimiter", ","),
-    )
+    return CsvSchema(**fields)
 
 
 def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, str]:
-    scenario = settings.get("scenario.name")
-    csv_path = settings.get("csv.path")
-    out = settings.get("experiment.out")
+    """Build the experiment config from raw `key -> text` settings.
+
+    Every bad key or value raises ValueError: unknown keys, values their
+    parser rejects (the message names the key), and values the dataclasses
+    reject (the message names the field).
+    """
+    unknown = sorted(set(settings) - set(SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    parts = {part: {} for part in ("experiment", "shifts", "counts", "forest", "mlp", "csv")}
+    for key, text in settings.items():
+        part, name, parse = SETTINGS[key]
+        try:
+            parts[part][name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
+    fields = parts["experiment"]
+    out = fields.get("out")
     if out is None:
         raise ValueError("an output path is required (--out or experiment.out)")
-
-    shifts = None
-    shift_keys = ("scenario.class_shift", "scenario.group_shift",
-                  "scenario.angle", "scenario.dim")
-    if scenario is not None and any(key in settings for key in shift_keys):
-        from .synth import preset_scenario
-
-        base = preset_scenario(scenario).shifts
-        shifts = ShiftSpec(
-            class_shift_magnitude=float(settings.get("scenario.class_shift",
-                                                     base.class_shift_magnitude)),
-            group_shift_magnitude=float(settings.get("scenario.group_shift",
-                                                     base.group_shift_magnitude)),
-            angle=float(settings.get("scenario.angle", base.angle)),
-            dim=int(settings.get("scenario.dim", base.dim)),
-        )
-    counts = None
-    count_keys = ("scenario.t00", "scenario.t01", "scenario.t10", "scenario.t11")
-    if scenario is not None and any(key in settings for key in count_keys):
-        from .synth import preset_scenario
-
-        counts = np.array(preset_scenario(scenario).counts)
-        for key in count_keys:
-            if key in settings:
-                y, z = int(key[-2]), int(key[-1])
-                counts[y, z] = int(settings[key])
-
-    forest = ForestSpec(
-        n_trees=int(settings.get("forest.n_trees", 100)),
-        max_depth=int(settings.get("forest.max_depth", 8)),
-        min_leaf=int(settings.get("forest.min_leaf", 2)),
-        features_per_split=(int(settings["forest.features_per_split"])
-                            if "forest.features_per_split" in settings else None),
-    )
-    mlp = MlpSpec(
-        hidden_units=int(settings.get("mlp.hidden_units", 32)),
-        epochs=int(settings.get("mlp.epochs", 200)),
-        learning_rate=float(settings.get("mlp.learning_rate", 0.01)),
-        batch_size=int(settings.get("mlp.batch_size", 32)),
-    )
-    alpha_grid = DEFAULT_ALPHA_GRID
-    if "experiment.alpha_grid" in settings:
-        alpha_grid = tuple(float(v) for v in settings["experiment.alpha_grid"].split(","))
-    config = ExperimentConfig(
-        scenario=scenario,
-        csv_path=csv_path,
-        csv_schema=_schema_from(settings) if csv_path is not None else None,
-        methods=(tuple(m.strip() for m in settings["experiment.methods"].split(","))
-                 if "experiment.methods" in settings else METHODS),
-        models=(tuple(m.strip() for m in settings["experiment.models"].split(","))
-                if "experiment.models" in settings else MODEL_KINDS),
-        replicates=int(settings.get("experiment.replicates", 5)),
-        alpha_grid=alpha_grid,
-        fixed_alpha=(float(settings["fsgm.alpha"]) if "fsgm.alpha" in settings else None),
-        seed=int(settings.get("experiment.seed", 0)),
-        test_fraction=float(settings.get("experiment.test_fraction", 0.3)),
-        validation_fraction=float(settings.get("experiment.validation_fraction", 0.25)),
-        pairs=(_parse_pairs(settings["fsgm.pairs"]) if "fsgm.pairs" in settings else None),
-        k=int(settings.get("fsgm.k", 5)),
-        standardize_knn=(_parse_bool(settings["fsgm.standardize"], "fsgm.standardize")
-                         if "fsgm.standardize" in settings else None),
-        shifts=shifts,
-        counts=counts,
-        forest=forest,
-        mlp=mlp,
-        leaky_alpha_selection=(
-            _parse_bool(settings["experiment.leaky_alpha_selection"],
-                        "experiment.leaky_alpha_selection")
-            if "experiment.leaky_alpha_selection" in settings else False),
-        dump_augmented=settings.get("output.dump_augmented"),
-        out=out,
-    )
-    return config, out
+    scenario = fields.get("scenario")
+    if scenario is not None and parts["shifts"]:
+        fields["shifts"] = dataclasses.replace(preset_scenario(scenario).shifts,
+                                               **parts["shifts"])
+    if scenario is not None and parts["counts"]:
+        counts = preset_scenario(scenario).counts.tolist()
+        for (y, z), n in parts["counts"].items():
+            counts[y][z] = n
+        fields["counts"] = counts
+    if fields.get("csv_path") is not None:
+        fields["csv_schema"] = _schema_from(parts["csv"])
+    fields["forest"] = ForestSpec(**parts["forest"])
+    fields["mlp"] = MlpSpec(**parts["mlp"])
+    return ExperimentConfig(**fields), out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = _merged_settings(args)
-        config, out = config_from_settings(settings)
+        config, out = config_from_settings(_merged_settings(args))
+        table = run_experiment(config)
+        emit_results(table, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not math.isfinite(config.test_fraction):
-        print("error: test_fraction must be finite", file=sys.stderr)
-        return 2
-    table = run_experiment(config)
-    emit_results(table, out)
     if table.errors and not table.rows:
         return 1
     return 0

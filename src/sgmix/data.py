@@ -1,8 +1,7 @@
 """Data model for group-annotated labeled tabular data and subgroup bookkeeping."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +19,6 @@ ALL_SUBGROUPS: tuple[SubgroupKey, ...] = (
     SubgroupKey(1, 0),
     SubgroupKey(1, 1),
 )
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A feature vector with its class label y and group label z."""
-
-    x: np.ndarray
-    y: int
-    z: int
 
 
 class Dataset:
@@ -56,27 +46,6 @@ class Dataset:
         self._x, self._y, self._z = x, y, z
 
     @classmethod
-    def from_samples(cls, samples: Iterable[Sample], dim: int | None = None) -> "Dataset":
-        samples = list(samples)
-        if not samples:
-            if dim is None:
-                raise ValueError("dim is required for an empty dataset")
-            return cls.empty(dim)
-        if dim is None:
-            dim = len(np.atleast_1d(samples[0].x))
-        rows = []
-        for i, s in enumerate(samples):
-            row = np.atleast_1d(np.asarray(s.x, dtype=np.float64))
-            if row.shape != (dim,):
-                raise ValueError(f"sample {i}: feature length {row.shape} != ({dim},)")
-            rows.append(row)
-        return cls(
-            np.stack(rows),
-            np.array([s.y for s in samples]),
-            np.array([s.z for s in samples]),
-        )
-
-    @classmethod
     def empty(cls, dim: int) -> "Dataset":
         return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
@@ -98,12 +67,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self._x.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(x=self._x[i], y=int(self._y[i]), z=int(self._z[i]))
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
         return f"Dataset(T={len(self)}, d={self.dim})"
@@ -130,22 +93,6 @@ def subgroup_counts(dataset: Dataset) -> np.ndarray:
     for key in ALL_SUBGROUPS:
         counts[key.y, key.z] = int(np.sum((dataset.y == key.y) & (dataset.z == key.z)))
     return counts
-
-
-def subgroup_proportions(table: np.ndarray) -> np.ndarray:
-    """Normalize a 2x2 subgroup count table by samples per group (column sums).
-
-    Cell (y, z) becomes T_yz / (T_0z + T_1z), so the two class proportions
-    within each group column sum to 1.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    if table.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 table, got shape {table.shape}")
-    group_totals = table.sum(axis=0)
-    for z in (0, 1):
-        if group_totals[z] <= 0:
-            raise ValueError(f"empty group column z={z}")
-    return table / group_totals
 
 
 def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:

@@ -8,6 +8,7 @@ a bootstrap of the same total size, so every model sees exactly 2T rows.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,8 +97,27 @@ class ExperimentConfig:
             raise ValueError(f"models must be a nonempty subset of {MODEL_KINDS}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("test_fraction", "validation_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         if not self.alpha_grid and self.fixed_alpha is None:
             raise ValueError("alpha_grid must be nonempty unless fixed_alpha is set")
+        if not all(math.isfinite(a) and a > 0 for a in self.alpha_grid):
+            raise ValueError(f"alpha_grid entries must be finite and > 0, got {self.alpha_grid}")
+        if self.fixed_alpha is not None and not (
+                math.isfinite(self.fixed_alpha) and self.fixed_alpha > 0):
+            raise ValueError(f"fixed_alpha must be finite and > 0, got {self.fixed_alpha}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.counts is not None:
+            try:
+                counts = np.asarray(self.counts, dtype=np.int64)
+            except OverflowError:
+                raise ValueError(f"counts must fit in int64, got {self.counts}") from None
+            # Validates the shape, signs and total the generator will see.
+            object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
 
 
 @dataclass(frozen=True)
@@ -130,6 +150,7 @@ class CellError:
     model: str
     replicate: int
     message: str
+    exc_type: str
 
 
 @dataclass
@@ -289,7 +310,7 @@ def _replicate_data(config: ExperimentConfig, full: Dataset | None, rep_seed: in
     if config.scenario is not None:
         preset = preset_scenario(config.scenario)
         shifts = config.shifts if config.shifts is not None else preset.shifts
-        counts = preset.counts if config.counts is None else np.asarray(config.counts)
+        counts = preset.counts if config.counts is None else config.counts
         train = gen_conditional_gaussian(
             ScenarioConfig(counts=counts, shifts=shifts,
                            seed=derive_seed(rep_seed, STREAM_OFFSETS["data-gen"]))
@@ -362,7 +383,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                             run.train_data, run.origins,
                         )
                 except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    table.errors.append(CellError(method, model_kind, r, str(exc)))
+                    table.errors.append(
+                        CellError(method, model_kind, r, str(exc), type(exc).__name__))
     table.rows.sort(key=lambda row: (row.method, row.model, row.replicate))
     table.errors.sort(key=lambda err: (err.method, err.model, err.replicate))
     return table
@@ -392,7 +414,8 @@ def emit_results(table: ResultTable, path) -> str:
             f"  fairness {fair.mean():.3f} +/- {fair.std():.3f}  (n={len(rows)})"
         )
     for err in table.errors:
-        print(f"  FAILED {err.method} x {err.model} replicate {err.replicate}: {err.message}")
+        print(f"  FAILED {err.method} x {err.model} replicate {err.replicate}: "
+              f"{err.exc_type}: {err.message}")
     for note in table.notes:
         print(f"  note: {note}")
     return str(path)

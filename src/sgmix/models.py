@@ -50,8 +50,8 @@ class MlpSpec:
     def __post_init__(self):
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, and batch_size must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,6 @@ class NeighborResult:
     distances: np.ndarray
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def feature_standardizer(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Dataset-wide per-feature mean and standard deviation (zeros become 1)."""
     mean = dataset.x.mean(axis=0) if len(dataset) else np.zeros(dataset.dim)

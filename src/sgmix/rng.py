@@ -75,14 +75,6 @@ def beta_sample(stream: RngStream, alpha: float, size: int | None = None):
     return np.where(total > 0, g1 / np.where(total > 0, total, 1.0), 0.5)
 
 
-def gaussian_vector(stream: RngStream, mean: np.ndarray, dim: int) -> np.ndarray:
-    """Vector with independent Normal(mean_i, 1) coordinates."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (dim,):
-        raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
-    return mean + stream.gen.standard_normal(dim)
-
-
 def uniform_index(stream: RngStream, candidates, size: int | None = None):
     """Uniform draw (with replacement across calls) from a nonempty index list."""
     arr = np.asarray(candidates, dtype=np.int64)

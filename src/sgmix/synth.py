@@ -31,6 +31,9 @@ class ShiftSpec:
     dim: int = 10
 
     def __post_init__(self):
+        for name in ("class_shift_magnitude", "group_shift_magnitude", "angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.class_shift_magnitude < 0 or self.group_shift_magnitude < 0:
             raise ValueError("shift magnitudes must be nonnegative")
         if self.dim < 1:

@@ -8,6 +8,7 @@ an error instead of silently mapping to 0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class CsvSchema:
         names = (*self.feature_columns, self.label_column, self.group_column)
         if len(set(names)) != len(names):
             raise ValueError("feature, label, and group columns must be disjoint")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 def _map_binary(raw: str, positive: str, negative: str | None, column: str) -> int:
@@ -46,8 +49,9 @@ def _map_binary(raw: str, positive: str, negative: str | None, column: str) -> i
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Parse a header-led CSV into a Dataset.
 
-    Any row with an unparseable cell is rejected; all rejected rows are
-    reported together in one error, each with its 1-based file line number.
+    Any row with an unparseable cell or a nan/inf feature is rejected; all
+    rejected rows are reported together in one error, each with its 1-based
+    file line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -74,11 +78,14 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                 features = []
                 for name, pos in zip(schema.feature_columns, feat_pos):
                     try:
-                        features.append(float(row[pos]))
+                        value = float(row[pos])
                     except ValueError:
                         raise ValueError(
                             f"non-numeric feature {name!r}: {row[pos]!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite feature {name!r}: {row[pos]!r}")
+                    features.append(value)
                 y = _map_binary(row[label_pos], schema.label_positive,
                                 schema.label_negative, schema.label_column)
                 z = _map_binary(row[group_pos], schema.group_positive,
@@ -132,6 +139,5 @@ def dump_augmented_csv(path, dataset: Dataset, origins) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["y", "z", "origin"])
-        for sample, origin in zip(dataset, origins):
-            writer.writerow([repr(float(v)) for v in sample.x]
-                            + [sample.y, sample.z, origin])
+        for x, y, z, origin in zip(dataset.x, dataset.y, dataset.z, origins):
+            writer.writerow([repr(float(v)) for v in x] + [int(y), int(z), origin])

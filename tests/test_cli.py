@@ -1,10 +1,28 @@
+import math
+import random
+import re
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from sgmix import dump_augmented_csv
-from sgmix.cli import main
+from sgmix.cli import SETTINGS, config_from_settings, main
 from sgmix.harness import RESULTS_HEADER
 
-from conftest import random_dataset
+from conftest import STANDIN_FEATURES, random_dataset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+STANDIN_SCHEMA = {
+    "csv.features": ",".join(STANDIN_FEATURES),
+    "csv.label_column": "outcome",
+    "csv.label_positive": "pass",
+    "csv.label_negative": "fail",
+    "csv.group_column": "group",
+    "csv.group_positive": "A",
+    "csv.group_negative": "B",
+}
 
 FAST = [
     "--replicates", "1",
@@ -171,3 +189,95 @@ def test_cli_exit_one_when_every_cell_fails(tmp_path):
     ])
     assert code == 1
     assert out.read_text() == RESULTS_HEADER + "\n"
+
+
+# One config line per bad value, the data source it runs with, and the key or
+# field its error line must name.
+BAD_VALUES = [
+    ("scenario.angle = nan", "scenario", "angle"),
+    ("scenario.class_shift = inf", "scenario", "class_shift_magnitude"),
+    ("experiment.test_fraction = 1.5", "csv", "test_fraction"),
+    ("experiment.validation_fraction = 0", "scenario", "validation_fraction"),
+    ("scenario.t00 = 99999999999999999999", "scenario", "counts"),
+    ("scenario.t11 = -1", "scenario", "counts"),
+    ("experiment.alpha_grid = -1", "scenario", "alpha_grid"),
+    ("experiment.alpha_grid = 0.5,nan", "scenario", "alpha_grid"),
+    ("fsgm.alpha = nan", "scenario", "fixed_alpha"),
+    ("fsgm.k = 0", "scenario", "k must be"),
+    ("forest.n_trees = abc", "scenario", "forest.n_trees"),
+    ("mlp.learning_rate = inf", "scenario", "learning_rate"),
+    ("experiment.seed = -1", "scenario", "seed"),
+    ("fsgm.standardize = maybe", "scenario", "fsgm.standardize"),
+]
+
+
+@pytest.mark.parametrize("line,source,name", BAD_VALUES, ids=[v[0] for v in BAD_VALUES])
+def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, name):
+    cfg = tmp_path / "bad.cfg"
+    if source == "csv":
+        schema = "".join(f"{key} = {value}\n" for key, value in STANDIN_SCHEMA.items())
+        cfg.write_text(schema + line + "\n")
+        data = ["--csv", standin_path]
+    else:
+        cfg.write_text(line + "\n")
+        data = ["--scenario", "unbalanced-groups"]
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), *data, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and name in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_rejects_non_finite_csv_feature(tmp_path, capsys):
+    data = tmp_path / "input.csv"
+    data.write_text("x1,y,z\n0.5,1,0\nnan,0,1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("csv.features = x1\ncsv.label_column = y\ncsv.label_positive = 1\n"
+                   "csv.group_column = z\ncsv.group_positive = 1\n")
+    code = main(["--config", str(cfg), "--csv", str(data), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "line 3: non-finite feature 'x1'" in capsys.readouterr().err
+
+
+def test_config_from_settings_returns_config_or_value_error():
+    """Random settings dicts never escape as anything but a ValueError."""
+    pool = ("", "nan", "inf", "-1", "0", "1e400", "99999999999999999999", "abc",
+            "1,0->0,0", "1->0")
+    keys = sorted(SETTINGS) + ["experiment.turbo", "forest.seed", "mlp.seed", "scenario"]
+    bases = (
+        {"scenario.name": "unbalanced-groups", "experiment.out": "r.csv"},
+        {"csv.path": "input.csv", "experiment.out": "r.csv", **STANDIN_SCHEMA},
+    )
+    rng = random.Random(0)
+    outcomes = {"config": 0, "error": 0}
+    for _ in range(300):
+        settings = dict(rng.choice(bases))
+        for key in rng.sample(keys, rng.randint(1, 4)):
+            settings[key] = rng.choice(pool)
+        try:
+            config, out = config_from_settings(settings)
+        except ValueError:
+            outcomes["error"] += 1
+            continue
+        outcomes["config"] += 1
+        assert out == config.out
+        reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
+                 config.mlp.learning_rate]
+        if config.fixed_alpha is not None:
+            reals.append(config.fixed_alpha)
+        if config.shifts is not None:
+            shifts = config.shifts
+            reals += [shifts.class_shift_magnitude, shifts.group_shift_magnitude, shifts.angle]
+        assert all(math.isfinite(v) for v in reals), settings
+    assert outcomes["config"] > 0 and outcomes["error"] > 0, outcomes
+
+
+def test_readme_key_table_matches_settings():
+    section = README.read_text().split("### Config file", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for prefix, names in re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.MULTILINE):
+        documented.update(f"{prefix}.{name}" for name in re.findall(r"`(\w+)`", names))
+    assert len(documented) == 40
+    assert documented == set(SETTINGS)

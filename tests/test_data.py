@@ -4,14 +4,12 @@ import pytest
 from sgmix import (
     ALL_SUBGROUPS,
     Dataset,
-    Sample,
     SubgroupKey,
     concat,
     gen_conditional_gaussian,
     preset_scenario,
     subgroup_counts,
     subgroup_indices,
-    subgroup_proportions,
     validate,
 )
 
@@ -22,11 +20,8 @@ def test_dataset_shape_and_access():
     ds = Dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], [1, 0])
     assert len(ds) == 2
     assert ds.dim == 2
-    sample = ds[1]
-    assert isinstance(sample, Sample)
-    assert sample.y == 1 and sample.z == 0
-    np.testing.assert_array_equal(sample.x, [3.0, 4.0])
-    assert [s.y for s in ds] == [0, 1]
+    np.testing.assert_array_equal(ds.x[1], [3.0, 4.0])
+    assert ds.y.tolist() == [0, 1] and ds.z.tolist() == [1, 0]
 
 
 def test_dataset_rejects_bad_shapes():
@@ -47,15 +42,6 @@ def test_dataset_is_immutable():
     ds2 = Dataset(src, [1], [1])
     src[0, 0] = -1.0
     assert ds2.x[0, 0] == 7.0
-
-
-def test_from_samples_names_ragged_row():
-    good = Sample(np.array([1.0, 2.0]), 0, 0)
-    bad = Sample(np.array([1.0]), 1, 1)
-    with pytest.raises(ValueError, match="sample 1"):
-        Dataset.from_samples([good, bad])
-    ds = Dataset.from_samples([good, Sample(np.array([3.0, 4.0]), 1, 0)])
-    assert len(ds) == 2
 
 
 def test_empty_dataset():
@@ -84,31 +70,6 @@ def test_subgroup_counts_total_is_dataset_size():
     for seed in range(5):
         ds = random_dataset(seed, t=57)
         assert subgroup_counts(ds).sum() == len(ds)
-
-
-def test_subgroup_proportions_symmetric_counts():
-    props = subgroup_proportions(np.array([[10, 100], [10, 100]]))
-    np.testing.assert_allclose(props, [[0.5, 0.5], [0.5, 0.5]])
-
-
-def test_subgroup_proportions_skewed_counts():
-    # columns are groups: group 0 holds 200 of class 0 and 10 of class 1
-    props = subgroup_proportions(np.array([[200, 200], [10, 200]]))
-    np.testing.assert_allclose(props[:, 0], [200 / 210, 10 / 210])
-    np.testing.assert_allclose(props[:, 1], [0.5, 0.5])
-
-
-def test_subgroup_proportions_empty_group_errors():
-    with pytest.raises(ValueError, match="empty group column"):
-        subgroup_proportions(np.array([[10, 0], [10, 0]]))
-
-
-def test_subgroup_proportions_columns_sum_to_one():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        table = rng.integers(1, 50, size=(2, 2))
-        props = subgroup_proportions(table)
-        np.testing.assert_allclose(props.sum(axis=0), [1.0, 1.0], atol=1e-12)
 
 
 def test_subgroup_indices_hand_case():

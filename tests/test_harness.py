@@ -275,6 +275,7 @@ def test_run_experiment_isolates_cell_failures():
     assert len(table.errors) == 2
     assert all(e.method == "fsgm" for e in table.errors)
     assert "insufficient target subgroup" in table.errors[0].message
+    assert all(e.exc_type == "ValueError" for e in table.errors)
 
 
 def test_run_experiment_grid_search_fills_alpha():
@@ -391,7 +392,7 @@ def test_emit_results_reports_failures(tmp_path, capsys):
     table = run_experiment(small_config(k=500, replicates=1))
     emit_results(table, tmp_path / "r.csv")
     printed = capsys.readouterr().out
-    assert "FAILED fsgm x forest replicate 0" in printed
+    assert "FAILED fsgm x forest replicate 0: ValueError: insufficient" in printed
 
 
 def test_default_grid_is_sorted_and_positive():

@@ -1,25 +1,11 @@
 import numpy as np
 import pytest
 
-from sgmix import Dataset, SubgroupKey, euclidean_distance, knn_in_subgroup
+from sgmix import Dataset, SubgroupKey, knn_in_subgroup
 from sgmix.data import subgroup_indices
 from sgmix.neighbors import feature_standardizer
 
 from conftest import random_dataset
-
-
-def test_euclidean_hand_cases():
-    assert euclidean_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-
-def test_euclidean_symmetry_and_shape_check():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        a, b = rng.standard_normal(6), rng.standard_normal(6)
-        assert euclidean_distance(a, b) == pytest.approx(euclidean_distance(b, a))
-    with pytest.raises(ValueError, match="mismatch"):
-        euclidean_distance([1.0], [1.0, 2.0])
 
 
 def test_knn_one_dimensional_hand_case():
@@ -67,7 +53,7 @@ def test_knn_matches_full_sort_oracle():
         query = ds.x[(seed * 7) % len(ds)]
         k = min(5, members.size)
         expected = sorted(
-            (euclidean_distance(ds.x[m], query), m) for m in members
+            (float(np.linalg.norm(ds.x[m] - query)), m) for m in members
         )[:k]
         res = knn_in_subgroup(ds, query, key, k=k)
         np.testing.assert_array_equal(res.indices, [m for _, m in expected])

@@ -6,7 +6,6 @@ from sgmix.rng import (
     RngStream,
     beta_sample,
     derive_seed,
-    gaussian_vector,
     uniform_index,
 )
 
@@ -77,28 +76,6 @@ def test_beta_symmetric_about_half():
     ks = np.abs(cdf_a - cdf_b).max()
     critical = 1.36 * np.sqrt(2.0 / draws.size)  # 5% level, equal sizes
     assert ks < critical
-
-
-def test_gaussian_vector_moments():
-    stream = RngStream(21)
-    draws = np.stack([gaussian_vector(stream, np.zeros(3), 3) for _ in range(100_000)])
-    assert np.abs(draws.mean(axis=0)).max() < 0.02
-    assert np.abs(draws.var(axis=0) - 1.0).max() < 0.05
-    cov = np.cov(draws.T)
-    off_diag = cov[~np.eye(3, dtype=bool)]
-    assert np.abs(off_diag).max() < 0.02
-
-
-def test_gaussian_vector_shape_check():
-    with pytest.raises(ValueError, match="shape"):
-        gaussian_vector(RngStream(0), np.zeros(3), 4)
-
-
-def test_gaussian_vector_respects_mean():
-    stream = RngStream(22)
-    mean = np.array([5.0, -2.0])
-    draws = np.stack([gaussian_vector(stream, mean, 2) for _ in range(20_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
 
 
 def test_uniform_index_singleton_and_empty():

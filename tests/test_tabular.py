@@ -85,16 +85,20 @@ def test_load_csv_reports_all_bad_rows_with_line_numbers(tmp_path):
         "oops,61,yes,north\n"
         "1.2,62,maybe,south\n"
         "1.3,63,no,east\n"
-        "1.4,64,no\n",
+        "1.4,64,no\n"
+        "nan,65,no,south\n"
+        "1.6,-inf,no,south\n",
     )
     with pytest.raises(ValueError) as exc:
         load_csv(path, toy_schema())
     message = str(exc.value)
-    assert "rejected 4 row(s)" in message
+    assert "rejected 6 row(s)" in message
     assert "line 3: non-numeric feature 'height': 'oops'" in message
     assert "line 4: unknown value 'maybe' in column 'outcome'" in message
     assert "line 5: unknown value 'east' in column 'site'" in message
     assert "line 6: expected 4 cells, got 3" in message
+    assert "line 7: non-finite feature 'height': 'nan'" in message
+    assert "line 8: non-finite feature 'weight': '-inf'" in message
 
 
 def test_load_csv_without_declared_negative_maps_other_values_to_zero(tmp_path):
@@ -145,6 +149,15 @@ def test_schema_validation():
             label_positive="1",
             group_column="z",
             group_positive="1",
+        )
+    with pytest.raises(ValueError, match="delimiter must be one character"):
+        CsvSchema(
+            feature_columns=("a",),
+            label_column="y",
+            label_positive="1",
+            group_column="z",
+            group_positive="1",
+            delimiter=";;",
         )
 
 
