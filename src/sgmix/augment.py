@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SubgroupKey, concat, subgroup_indices
+from .data import Dataset, SubgroupKey, concat, feature_standardizer, subgroup_indices
 from .neighbors import knn_in_subgroup
 from .rng import RngStream, beta_sample, uniform_index
 
@@ -28,6 +28,21 @@ class MixPair(NamedTuple):
 
 def make_pair(source, target) -> MixPair:
     return MixPair(SubgroupKey(*source), SubgroupKey(*target))
+
+
+def check_pairs(pairs) -> tuple[MixPair, ...]:
+    """Normalise pairs with make_pair; reject none, repeats, loops and non-0/1 labels."""
+    pairs = tuple(make_pair(*p) for p in pairs)
+    if not pairs:
+        raise ValueError("at least one source/target pair is required")
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("pairs must be distinct")
+    for p in pairs:
+        if p.source == p.target:
+            raise ValueError(f"source and target subgroup coincide: {p}")
+        if not set(p.source + p.target) <= {0, 1}:
+            raise ValueError(f"pair labels must be 0 or 1: {p}")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -50,15 +65,7 @@ class FsgmConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        pairs = tuple(make_pair(*p) for p in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
-            raise ValueError("at least one source/target pair is required")
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("pairs must be distinct")
-        for p in pairs:
-            if p.source == p.target:
-                raise ValueError(f"source and target subgroup coincide: {p}")
+        object.__setattr__(self, "pairs", check_pairs(self.pairs))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.alpha > 0:
@@ -76,27 +83,46 @@ class AugmentationReport:
     lambda_draws: int = 0
 
 
-def mix_features(x_s: np.ndarray, x_t: np.ndarray, lam: float) -> np.ndarray:
-    """Coordinate-wise convex combination (1-lam)*x_s + lam*x_t."""
-    if not 0.0 <= lam <= 1.0:
+def _weights(lam) -> np.ndarray:
+    lam = np.asarray(lam, dtype=np.float64)
+    if not ((lam >= 0.0) & (lam <= 1.0)).all():
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    return lam
+
+
+def mix_features(x_s: np.ndarray, x_t: np.ndarray, lam) -> np.ndarray:
+    """(1-lam)*x_s + lam*x_t for two points, or for paired rows with one lam per row."""
+    lam = _weights(lam)
     x_s = np.asarray(x_s, dtype=np.float64)
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_s.shape != x_t.shape:
         raise ValueError(f"length mismatch: {x_s.shape} vs {x_t.shape}")
+    if lam.ndim:
+        if x_s.shape[:1] != lam.shape:
+            raise ValueError(f"{lam.size} weights for rows of shape {x_s.shape}")
+        lam = lam[:, None]
     return (1.0 - lam) * x_s + lam * x_t
 
 
-def mix_label(y_s: int, y_t: int, lam: float) -> int:
-    """Indicator of the interpolated label reaching 1/2 (inclusive)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    return int((1.0 - lam) * y_s + lam * y_t >= 0.5)
+def mix_label(y_s, y_t, lam):
+    """Indicator of the interpolated label reaching 1/2 (inclusive); an int, or per row."""
+    lam = _weights(lam)
+    snapped = ((1.0 - lam) * y_s + lam * y_t >= 0.5).astype(np.int64)
+    return int(snapped) if snapped.ndim == 0 else snapped
 
 
-def mix_group(z_s: int, z_t: int, lam: float) -> int:
+def mix_group(z_s, z_t, lam):
     """Same indicator rule as mix_label, applied to group labels."""
     return mix_label(z_s, z_t, lam)
+
+
+def _mix_rows(dataset: Dataset, i, j, lam) -> Dataset:
+    """Row r mixes dataset rows i[r] and j[r] with weight lam[r]."""
+    return Dataset(
+        mix_features(dataset.x[i], dataset.x[j], lam),
+        mix_label(dataset.y[i], dataset.y[j], lam),
+        mix_group(dataset.z[i], dataset.z[j], lam),
+    )
 
 
 def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
@@ -104,8 +130,8 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
 
     Each batch: pick the next pair round-robin, draw a uniform source sample,
     find its k nearest target-subgroup neighbors, draw one mixing weight, and
-    emit k mixed samples sharing that weight. The loop stops once new_count is
-    reached; the final batch is truncated so the count is exact.
+    emit k mixed samples sharing that weight. The last of the
+    ceil(new_count / k) batches is truncated so the count is exact.
     """
     source_members = {}
     for pair in config.pairs:
@@ -122,37 +148,24 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
             )
         source_members[pair] = src
 
+    search = dataset  # the neighbor search runs in z-scored space when asked
+    if config.standardize:
+        mean, std = feature_standardizer(dataset.x)
+        search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
     stream = RngStream(config.seed)
-    xs, ys, zs, pair_of_row = [], [], [], []
-    batches = 0
-    while len(xs) < config.new_count:
-        pair = config.pairs[batches % len(config.pairs)]
+    draws = []
+    for b in range(-(-config.new_count // config.k)):
+        pair = config.pairs[b % len(config.pairs)]
         i = uniform_index(stream, source_members[pair])
-        neighbors = knn_in_subgroup(
-            dataset,
-            dataset.x[i],
-            pair.target,
-            config.k,
-            exclude=i,
-            standardize=config.standardize,
-        )
-        lam = beta_sample(stream, config.alpha)
-        batches += 1
-        for j in neighbors.indices:
-            xs.append(mix_features(dataset.x[i], dataset.x[j], lam))
-            ys.append(mix_label(int(dataset.y[i]), int(dataset.y[j]), lam))
-            zs.append(mix_group(int(dataset.z[i]), int(dataset.z[j]), lam))
-            pair_of_row.append(pair)
+        nearest = knn_in_subgroup(search, search.x[i], pair.target, config.k).indices
+        draws.append((i, nearest, beta_sample(stream, config.alpha)))
+    sources, neighbors, lams = (np.array(column) for column in zip(*draws))
 
-    xs = xs[: config.new_count]
-    ys = ys[: config.new_count]
-    zs = zs[: config.new_count]
-    pair_of_row = pair_of_row[: config.new_count]
-    per_pair = {pair: 0 for pair in config.pairs}
-    for pair in pair_of_row:
-        per_pair[pair] += 1
-    produced = Dataset(np.stack(xs), np.array(ys), np.array(zs))
-    return AugmentationReport(produced=produced, per_pair_counts=per_pair, lambda_draws=batches)
+    n, k = config.new_count, config.k
+    produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
+                         np.repeat(lams, k)[:n])
+    counts = np.bincount(np.arange(n) // k % len(config.pairs), minlength=len(config.pairs))
+    return AugmentationReport(produced, dict(zip(config.pairs, counts.tolist())), len(draws))
 
 
 def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> Dataset:
@@ -169,15 +182,12 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
             raise ValueError(f"class {c} is empty; cross-class mixup needs both classes")
     stream = RngStream(seed)
     everyone = np.arange(len(dataset))
-    xs, ys, zs = [], [], []
+    draws = []
     for _ in range(new_count):
         i = uniform_index(stream, everyone)
         j = uniform_index(stream, by_class[1 - int(dataset.y[i])])
-        lam = beta_sample(stream, alpha)
-        xs.append(mix_features(dataset.x[i], dataset.x[j], lam))
-        ys.append(mix_label(int(dataset.y[i]), int(dataset.y[j]), lam))
-        zs.append(mix_group(int(dataset.z[i]), int(dataset.z[j]), lam))
-    return Dataset(np.stack(xs), np.array(ys), np.array(zs))
+        draws.append((i, j, beta_sample(stream, alpha)))
+    return _mix_rows(dataset, *(np.array(column) for column in zip(*draws)))
 
 
 def group_swap_augment(dataset: Dataset, new_count: int, seed: int) -> Dataset:

@@ -41,8 +41,6 @@ def _parse_pairs(text: str):
         sy, sz = (int(v) for v in src.split(","))
         ty, tz = (int(v) for v in tgt.split(","))
         pairs.append(((sy, sz), (ty, tz)))
-    if not pairs:
-        raise ValueError(f"no pairs in {text!r}")
     return tuple(pairs)
 
 
@@ -176,6 +174,9 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
     if out is None:
         raise ValueError("an output path is required (--out or experiment.out)")
     scenario = fields.get("scenario")
+    if scenario is None and (parts["shifts"] or parts["counts"]):
+        keys = sorted(key for key in settings if SETTINGS[key][0] in ("shifts", "counts"))
+        raise ValueError(f"{', '.join(keys)}: set only with scenario.name (--scenario)")
     if scenario is not None and parts["shifts"]:
         fields["shifts"] = dataclasses.replace(preset_scenario(scenario).shifts,
                                                **parts["shifts"])

@@ -25,7 +25,7 @@ class Dataset:
     """Immutable ordered collection of samples with a fixed feature dimension.
 
     Features live in a read-only (T, d) float64 matrix; class and group labels
-    in read-only int vectors. Augmenters never mutate a Dataset, they return
+    in read-only 0/1 int vectors. Augmenters never mutate a Dataset, they return
     new ones, so instances are safe to share across workers.
     """
 
@@ -41,6 +41,10 @@ class Dataset:
             raise ValueError(
                 f"label shapes {y.shape}/{z.shape} do not match {x.shape[0]} feature rows"
             )
+        for name, labels in (("class", y), ("group", z)):
+            bad = np.flatnonzero((labels != 0) & (labels != 1))
+            if bad.size:
+                raise ValueError(f"sample {bad[0]}: {name} label {labels[bad[0]]} outside {{0, 1}}")
         for arr in (x, y, z):
             arr.setflags(write=False)
         self._x, self._y, self._z = x, y, z
@@ -101,15 +105,15 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
 
 
+def feature_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and standard deviation of the rows of x (zeros become 1)."""
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    return mean, std
+
+
 def validate(dataset: Dataset) -> list[str]:
-    """Return a list of violations (empty means the dataset is well formed)."""
-    violations: list[str] = []
+    """Non-finite feature violations (labels are checked at construction); empty if none."""
     finite = np.isfinite(dataset.x).all(axis=1)
-    for i in np.nonzero(~finite)[0]:
-        violations.append(f"sample {i}: non-finite feature value")
-    for i in np.nonzero(~np.isin(dataset.y, (0, 1)))[0]:
-        violations.append(f"sample {i}: class label {dataset.y[i]} outside {{0, 1}}")
-    for i in np.nonzero(~np.isin(dataset.z, (0, 1)))[0]:
-        violations.append(f"sample {i}: group label {dataset.z[i]} outside {{0, 1}}")
-    violations.sort(key=lambda msg: int(msg.split()[1].rstrip(":")))
-    return violations
+    return [f"sample {i}: non-finite feature value" for i in np.nonzero(~finite)[0]]

@@ -17,6 +17,7 @@ import numpy as np
 from .augment import (
     FsgmConfig,
     bootstrap,
+    check_pairs,
     fsgm_augment,
     group_swap_augment,
     vanilla_mixup,
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise ValueError(f"fixed_alpha must be finite and > 0, got {self.fixed_alpha}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.pairs is not None:
+            check_pairs(self.pairs)
         if self.counts is not None:
             try:
                 counts = np.asarray(self.counts, dtype=np.int64)

@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from .data import feature_standardizer
 from .rng import STREAM_OFFSETS, RngStream
 
 
@@ -232,9 +233,7 @@ def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
     stored on the model and applied at predict time.
     """
     x, y = _check_xy(x, y)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std[std == 0.0] = 1.0
+    mean, std = feature_standardizer(x)
     xs = (x - mean) / std
     yf = y.astype(np.float64)
 

@@ -17,7 +17,8 @@ from sgmix import (
     vanilla_mixup,
 )
 from sgmix.augment import MixPair, make_pair
-from sgmix.data import SubgroupKey
+from sgmix.data import SubgroupKey, subgroup_indices
+from sgmix.rng import RngStream, beta_sample, uniform_index
 
 from conftest import random_dataset
 
@@ -90,6 +91,36 @@ def test_nearest_parent_label_rule():
         mixed = mix_features(xs, xt, lam)
         nearer_source = np.linalg.norm(mixed - xs) < np.linalg.norm(mixed - xt)
         assert (mix_label(ys, yt, lam) == ys) == nearer_source
+
+
+def test_mix_ops_per_row_weights_match_scalar_calls():
+    rng = np.random.default_rng(4)
+    xs, xt = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    ys, yt = rng.integers(0, 2, 50), rng.integers(0, 2, 50)
+    lam = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=47)])
+    mixed = mix_features(xs, xt, lam)
+    labels = mix_label(ys, yt, lam)
+    groups = mix_group(yt, ys, lam)
+    for r in range(50):
+        np.testing.assert_array_equal(mixed[r], mix_features(xs[r], xt[r], lam[r]))
+        assert labels[r] == mix_label(int(ys[r]), int(yt[r]), float(lam[r]))
+        assert groups[r] == mix_group(int(yt[r]), int(ys[r]), float(lam[r]))
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, np.nan])
+def test_mix_ops_reject_any_weight_outside_unit_interval(bad):
+    lam = np.array([0.2, 0.7, bad, 0.4])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        mix_features(np.zeros((4, 2)), np.ones((4, 2)), lam)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        mix_label(np.zeros(4), np.ones(4), lam)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        mix_group(np.zeros(4), np.ones(4), lam)
+
+
+def test_mix_features_weight_count_must_match_rows():
+    with pytest.raises(ValueError, match="3 weights"):
+        mix_features(np.zeros((4, 2)), np.ones((4, 2)), np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------- fsgm
@@ -206,12 +237,115 @@ def test_fsgm_config_validation():
         FsgmConfig(pairs=(pair, pair), new_count=1)
     with pytest.raises(ValueError, match="coincide"):
         FsgmConfig(pairs=(((0, 0), (0, 0)),), new_count=1)
+    with pytest.raises(ValueError, match="0 or 1"):
+        FsgmConfig(pairs=(((5, 5), (0, 0)),), new_count=1)
     with pytest.raises(ValueError, match="k must be"):
         FsgmConfig(pairs=(pair,), new_count=1, k=0)
     with pytest.raises(ValueError, match="alpha"):
         FsgmConfig(pairs=(pair,), new_count=1, alpha=0.0)
     with pytest.raises(ValueError, match="new_count"):
         FsgmConfig(pairs=(pair,), new_count=0)
+
+
+def test_fsgm_standardization_can_flip_neighbor():
+    # feature 2 spans [0, 1000] and dominates raw distances: from the one
+    # source row (0, 400) the raw nearest target is (5, 0); after dataset-wide
+    # z-scoring it is (0, 1000), so every mixed row keeps x1 = 0
+    ds = Dataset([[0.0, 1000.0], [5.0, 0.0], [0.0, 400.0]], [1, 1, 0], [0, 0, 0])
+    pairs = (((0, 0), (1, 0)),)
+    raw = fsgm_augment(ds, FsgmConfig(pairs=pairs, new_count=6, k=1, seed=1)).produced
+    scaled = fsgm_augment(
+        ds, FsgmConfig(pairs=pairs, new_count=6, k=1, seed=1, standardize=True)
+    ).produced
+    assert (raw.x[:, 1] <= 400.0).all() and (raw.x[:, 0] > 0.0).all()
+    np.testing.assert_array_equal(scaled.x[:, 0], 0.0)
+    assert (scaled.x[:, 1] >= 400.0).all()
+
+
+def _oracle_knn(dataset, query, target, k, exclude, standardize):
+    """Per-call kNN: z-scores with dataset-wide statistics on every call."""
+    members = subgroup_indices(dataset, target)
+    members = members[members != exclude]
+    feats = dataset.x[members]
+    if standardize:
+        mean = dataset.x.mean(axis=0)
+        std = dataset.x.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        feats = (feats - mean) / std
+        query = (query - mean) / std
+    dist = np.sqrt(((feats - query) ** 2).sum(axis=1))
+    return members[np.lexsort((members, dist))[:k]]
+
+
+def oracle_fsgm(dataset, config):
+    """Subgroup mixup one row at a time: the same draws, per-row mix calls."""
+    sources = {pair: subgroup_indices(dataset, pair.source) for pair in config.pairs}
+    stream = RngStream(config.seed)
+    xs, ys, zs, pair_of_row = [], [], [], []
+    batches = 0
+    while len(xs) < config.new_count:
+        pair = config.pairs[batches % len(config.pairs)]
+        i = uniform_index(stream, sources[pair])
+        neighbors = _oracle_knn(
+            dataset, dataset.x[i], pair.target, config.k, i, config.standardize
+        )
+        lam = beta_sample(stream, config.alpha)
+        batches += 1
+        for j in neighbors:
+            xs.append(mix_features(dataset.x[i], dataset.x[j], lam))
+            ys.append(mix_label(int(dataset.y[i]), int(dataset.y[j]), lam))
+            zs.append(mix_group(int(dataset.z[i]), int(dataset.z[j]), lam))
+            pair_of_row.append(pair)
+    n = config.new_count
+    counts = {pair: pair_of_row[:n].count(pair) for pair in config.pairs}
+    return np.stack(xs[:n]), np.array(ys[:n]), np.array(zs[:n]), counts, batches
+
+
+def oracle_vanilla(dataset, new_count, alpha, seed):
+    """Cross-class mixup one row at a time: the same draws, per-row mix calls."""
+    by_class = {c: np.nonzero(dataset.y == c)[0] for c in (0, 1)}
+    stream = RngStream(seed)
+    everyone = np.arange(len(dataset))
+    xs, ys, zs = [], [], []
+    for _ in range(new_count):
+        i = uniform_index(stream, everyone)
+        j = uniform_index(stream, by_class[1 - int(dataset.y[i])])
+        lam = beta_sample(stream, alpha)
+        xs.append(mix_features(dataset.x[i], dataset.x[j], lam))
+        ys.append(mix_label(int(dataset.y[i]), int(dataset.y[j]), lam))
+        zs.append(mix_group(int(dataset.z[i]), int(dataset.z[j]), lam))
+    return np.stack(xs), np.array(ys), np.array(zs)
+
+
+def scaled_dataset(seed):
+    # columns on very different scales, so z-scoring changes the neighbors
+    ds = random_dataset(seed, t=90, d=3)
+    return Dataset(ds.x * [1.0, 300.0, 0.01], ds.y, ds.z)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fsgm_matches_per_row_oracle(seed, standardize):
+    ds = scaled_dataset(seed)
+    cfg = FsgmConfig(pairs=(((0, 0), (1, 1)), ((1, 0), (0, 1))), new_count=23, k=5,
+                     alpha=0.6, seed=seed, standardize=standardize)
+    report = fsgm_augment(ds, cfg)
+    x, y, z, counts, batches = oracle_fsgm(ds, cfg)
+    assert np.array_equal(report.produced.x, x)
+    assert np.array_equal(report.produced.y, y)
+    assert np.array_equal(report.produced.z, z)
+    assert report.per_pair_counts == counts == dict(zip(cfg.pairs, (13, 10)))
+    assert report.lambda_draws == batches == 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_vanilla_mixup_matches_per_row_oracle(seed):
+    ds = scaled_dataset(seed)
+    produced = vanilla_mixup(ds, new_count=37, alpha=0.6, seed=seed)
+    x, y, z = oracle_vanilla(ds, 37, 0.6, seed)
+    assert np.array_equal(produced.x, x)
+    assert np.array_equal(produced.y, y)
+    assert np.array_equal(produced.z, z)
 
 
 # ---------------------------------------------------------------- baselines

@@ -1,0 +1,38 @@
+"""The benchmark's tracer wraps sgmix functions by module attribute name.
+
+A renamed function or parameter would silently empty its per-layer metrics,
+so the wrap sites are checked here.
+"""
+import importlib.util
+from pathlib import Path
+
+from sgmix import augment
+from sgmix.data import SubgroupKey, subgroup_indices
+
+from conftest import random_dataset
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_site_and_binds_knn_arguments():
+    ds = random_dataset(0, t=40, d=2)
+    cfg = augment.FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=4, k=2, standardize=True)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        report = augment.fsgm_augment(ds, cfg)
+    finally:
+        tracer.uninstall()
+    assert len(report.produced) == 4
+    members = subgroup_indices(ds, SubgroupKey(1, 0)).size
+    knn = tracer.counts["neighbors.knn_in_subgroup"]
+    assert knn["dist_evals"] == report.lambda_draws * members == 2 * members
+    assert tracer.counts["augment.fsgm_augment"]["samples"] == 4

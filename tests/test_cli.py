@@ -208,10 +208,17 @@ BAD_VALUES = [
     ("mlp.learning_rate = inf", "scenario", "learning_rate"),
     ("experiment.seed = -1", "scenario", "seed"),
     ("fsgm.standardize = maybe", "scenario", "fsgm.standardize"),
+    ("fsgm.pairs = 1,0->1,0", "scenario", "coincide"),
+    ("fsgm.pairs = 5,5->0,0", "scenario", "0 or 1"),
+    ("scenario.angle = nan", "csv", "scenario.angle"),
+    ("scenario.t00 = -5", "csv", "scenario.t00"),
 ]
 
 
-@pytest.mark.parametrize("line,source,name", BAD_VALUES, ids=[v[0] for v in BAD_VALUES])
+@pytest.mark.parametrize("line,source,name", BAD_VALUES, ids=[
+    f"{line} with --csv" if source == "csv" and line.startswith("scenario.") else line
+    for line, source, _ in BAD_VALUES
+])
 def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, name):
     cfg = tmp_path / "bad.cfg"
     if source == "csv":

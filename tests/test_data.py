@@ -86,12 +86,13 @@ def test_subgroup_indices_partition_property():
 
 
 def test_validate_reports_violations():
-    ds = Dataset([[np.nan], [1.0], [2.0]], [0, 2, 1], [0, 0, 3])
-    messages = validate(ds)
-    assert any("sample 0" in m and "non-finite" in m for m in messages)
-    assert any("sample 1" in m and "class label" in m for m in messages)
-    assert any("sample 2" in m and "group label" in m for m in messages)
+    ds = Dataset([[np.nan], [1.0], [2.0]], [0, 1, 1], [0, 0, 1])
+    assert validate(ds) == ["sample 0: non-finite feature value"]
     assert validate(random_dataset(1)) == []
+    with pytest.raises(ValueError, match=r"sample 1: class label 2 outside \{0, 1\}"):
+        Dataset([[np.nan], [1.0], [2.0]], [0, 2, 1], [0, 0, 3])
+    with pytest.raises(ValueError, match=r"sample 2: group label 3 outside \{0, 1\}"):
+        Dataset([[np.nan], [1.0], [2.0]], [0, 1, 1], [0, 0, 3])
 
 
 def test_concat_and_subset():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sgmix import Dataset, SubgroupKey, knn_in_subgroup
-from sgmix.data import subgroup_indices
-from sgmix.neighbors import feature_standardizer
+from sgmix.data import feature_standardizer, subgroup_indices
 
 from conftest import random_dataset
 
@@ -29,12 +28,6 @@ def test_knn_insufficient_members_error_names_counts():
     ds = Dataset([[0.0], [1.0]], [1, 0], [0, 0])
     with pytest.raises(ValueError, match=r"insufficient target subgroup \(y=1, z=0\): has 1 members, need k=3"):
         knn_in_subgroup(ds, np.array([0.0]), SubgroupKey(1, 0), k=3)
-
-
-def test_knn_excludes_self():
-    ds = Dataset([[0.0], [0.1], [0.2]], [1, 1, 1], [0, 0, 0])
-    res = knn_in_subgroup(ds, ds.x[0], SubgroupKey(1, 0), k=2, exclude=0)
-    assert 0 not in res.indices
 
 
 def test_knn_ties_broken_by_dataset_index():
@@ -78,24 +71,9 @@ def test_knn_returns_only_target_subgroup():
         assert ds.y[i] == 1 and ds.z[i] == 0
 
 
-def test_knn_standardization_can_flip_ranking():
-    # feature 2 spans [0, 1000] and dominates raw distances; after dataset-wide
-    # z-scoring, member 0 (same x1 as the query) becomes the nearest
-    ds = Dataset(
-        [[0.0, 1000.0], [5.0, 0.0], [0.0, 0.0], [5.0, 1000.0]],
-        [1, 1, 0, 0],
-        [0, 0, 0, 0],
-    )
-    query = np.array([0.0, 400.0])
-    raw = knn_in_subgroup(ds, query, SubgroupKey(1, 0), k=1)
-    scaled = knn_in_subgroup(ds, query, SubgroupKey(1, 0), k=1, standardize=True)
-    assert raw.indices[0] == 1
-    assert scaled.indices[0] == 0
-
-
 def test_feature_standardizer_guards_constant_columns():
     ds = Dataset([[1.0, 3.0], [1.0, 5.0]], [0, 1], [0, 1])
-    mean, std = feature_standardizer(ds)
+    mean, std = feature_standardizer(ds.x)
     np.testing.assert_allclose(mean, [1.0, 4.0])
     assert std[0] == 1.0  # constant column: divide by 1, not 0
     assert std[1] == 1.0
