@@ -26,8 +26,8 @@ config = ExperimentConfig(
 )
 table = run_experiment(config)
 
-out = tempfile.NamedTemporaryFile(suffix=".csv", delete=False)
-emit_results(table, out.name)
+with tempfile.TemporaryDirectory() as tmp:
+    emit_results(table, f"{tmp}/results.csv")
 
 print("\nper-replicate rows:")
 print("method,model,replicate,alpha,accuracy,fairness")

@@ -41,8 +41,8 @@ with resources.as_file(
     )
     table = run_experiment(config)
 
-out = tempfile.NamedTemporaryFile(suffix=".csv", delete=False)
-emit_results(table, out.name)
+with tempfile.TemporaryDirectory() as tmp:
+    emit_results(table, f"{tmp}/results.csv")
 
 print("\nsigned dp gap per replicate (negative: group A favored):")
 for row in table.rows:

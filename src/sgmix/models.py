@@ -71,6 +71,8 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"features must be a 2-D matrix, got ndim={x.ndim}")
     if x.shape[0] == 0:
         raise ValueError("empty training set")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     if y.shape != (x.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
     if not np.isin(y, (0, 1)).all():
@@ -81,73 +83,66 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- forest
 
 
-def _gini(ones: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = ones / total
-    return 2.0 * p * (1.0 - p)
+def _best_split(xt, y, idx, ones, features, min_leaf):
+    """Score every sampled feature's thresholds in one pass; return the best split.
 
-
-def _majority(labels: np.ndarray) -> int:
-    # Ties go to label 0 for determinism.
-    return int(np.sum(labels == 1) > np.sum(labels == 0))
-
-
-def _best_split(x, y, rows, features, min_leaf):
-    """Scan candidate thresholds on each feature; return the best Gini gain.
-
-    Thresholds are midpoints between adjacent distinct sorted values. Ties on
-    gain keep the earlier candidate (feature scan order, then smaller split
-    position), which makes the tree deterministic.
+    xt is the (d, N) transposed feature matrix. idx is the node's (d, n)
+    array of row indices: row r lists the node's rows sorted by feature r,
+    ties in bootstrap order. ones is the node's label-1 count, passed down
+    from its parent. Thresholds are midpoints between adjacent distinct
+    sorted values. Ties on gain keep the earlier candidate (feature scan
+    order, then smaller split position), which makes the tree deterministic.
+    Returns (feature, threshold, label-1 count of the left child) or None.
     """
-    n = rows.size
-    parent = _gini(float(np.sum(y[rows] == 1)), float(n))
-    best = None  # (gain, feature, threshold)
-    for f in features:
-        vals = x[rows, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = y[rows][order]
-        csum = np.cumsum(sy)
-        s = np.arange(1, n)  # left-side sizes
-        valid = (sv[:-1] < sv[1:]) & (s >= min_leaf) & (n - s >= min_leaf)
-        if not valid.any():
-            continue
-        s = s[valid]
-        ones_left = csum[s - 1].astype(np.float64)
-        ones_right = float(csum[-1]) - ones_left
-        pl = ones_left / s
-        pr = ones_right / (n - s)
-        weighted = (s * 2 * pl * (1 - pl) + (n - s) * 2 * pr * (1 - pr)) / n
-        gains = parent - weighted
-        at = int(np.argmax(gains))
-        if gains[at] > 1e-12 and (best is None or gains[at] > best[0]):
-            pos = s[at]
-            thr = (sv[pos - 1] + sv[pos]) / 2.0
-            best = (float(gains[at]), int(f), float(thr))
-    return best
+    n = idx.shape[1]
+    p = ones / n
+    parent = 2.0 * p * (1.0 - p)
+    rows = idx[features]
+    sv = xt[features[:, None], rows]
+    csum = np.cumsum(y[rows], axis=1)
+    s = np.arange(min_leaf, n - min_leaf + 1)  # left-side sizes
+    lo, hi = min_leaf - 1, n - min_leaf  # columns s - 1
+    ones_left = csum[:, lo:hi].astype(np.float64)
+    ones_right = float(ones) - ones_left
+    pl = ones_left / s
+    pr = ones_right / (n - s)
+    weighted = (s * 2 * pl * (1 - pl) + (n - s) * 2 * pr * (1 - pr)) / n
+    gains = np.where(sv[:, lo:hi] < sv[:, lo + 1:hi + 1], parent - weighted, -np.inf)
+    r, at = divmod(int(np.argmax(gains)), s.size)
+    if not gains[r, at] > 1e-12:
+        return None
+    pos = s[at]
+    thr = float((sv[r, pos - 1] + sv[r, pos]) / 2.0)
+    # The left child is the sorted prefix at or below thr; rounding can put
+    # thr on sv[r, pos], so count that prefix rather than trusting pos.
+    left = int(np.searchsorted(sv[r], thr, side="right"))
+    return int(features[r]), thr, int(csum[r, left - 1]) if left else 0
 
 
-def _grow_tree(x, y, rows, spec, m, stream, depth):
-    labels = y[rows]
-    if (
-        depth >= spec.max_depth
-        or rows.size < 2 * spec.min_leaf
-        or labels.min() == labels.max()
-    ):
-        return {"leaf": _majority(labels)}
-    d = x.shape[1]
-    features = stream.gen.permutation(d)[:m]
-    best = _best_split(x, y, rows, features, spec.min_leaf)
+def _grow_tree(xt, y, idx, ones, spec, m, stream, depth):
+    """Grow one node from its sorted (d, n) row indices and label-1 count.
+
+    Each split partitions every row of idx through one boolean mask,
+    keeping order, so both children stay sorted by every feature and no
+    node sorts again. The label-1 counts come from the split's prefix sum,
+    so the leaf tests and the majority label (ties to 0) cost O(1).
+    """
+    n = idx.shape[1]
+    if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
+        return {"leaf": int(2 * ones > n)}
+    d = xt.shape[0]
+    best = _best_split(xt, y, idx, ones, stream.gen.permutation(d)[:m], spec.min_leaf)
     if best is None:
-        return {"leaf": _majority(labels)}
-    _, f, thr = best
-    left_mask = x[rows, f] <= thr
+        return {"leaf": int(2 * ones > n)}
+    f, thr, ones_left = best
+    goes_left = xt[f, idx] <= thr
     return {
         "feature": f,
         "threshold": thr,
-        "left": _grow_tree(x, y, rows[left_mask], spec, m, stream, depth + 1),
-        "right": _grow_tree(x, y, rows[~left_mask], spec, m, stream, depth + 1),
+        "left": _grow_tree(xt, y, idx[goes_left].reshape(d, -1), ones_left,
+                           spec, m, stream, depth + 1),
+        "right": _grow_tree(xt, y, idx[~goes_left].reshape(d, -1), ones - ones_left,
+                            spec, m, stream, depth + 1),
     }
 
 
@@ -174,12 +169,15 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
     if m > d:
         raise ValueError(f"features_per_split={m} exceeds feature count {d}")
+    xt = np.ascontiguousarray(x.T)
     trees = []
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.gen.integers(0, x.shape[0], size=x.shape[0])
-        trees.append(_grow_tree(x, y, rows, spec, m, stream, 0))
+        # Sort each feature once per tree; nodes only partition these lists.
+        idx = rows[np.argsort(xt[:, rows], axis=1, kind="stable")]
+        trees.append(_grow_tree(xt, y, idx, int(y[rows].sum()), spec, m, stream, 0))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 
 
@@ -265,6 +263,8 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if x.shape[1] != model.dim:
         raise ValueError(f"model expects {model.dim} features, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     if model.kind == "forest":
         votes = np.zeros(x.shape[0])
         for tree in model.params["trees"]:
