@@ -157,7 +157,7 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     for b in range(-(-config.new_count // config.k)):
         pair = config.pairs[b % len(config.pairs)]
         i = uniform_index(stream, source_members[pair])
-        nearest = knn_in_subgroup(search, search.x[i], pair.target, config.k).indices
+        nearest = knn_in_subgroup(search, search.x[i], pair.target, config.k)
         draws.append((i, nearest, beta_sample(stream, config.alpha)))
     sources, neighbors, lams = (np.array(column) for column in zip(*draws))
 

@@ -78,7 +78,6 @@ SETTINGS = {
     "experiment.alpha_grid": ("experiment", "alpha_grid", _floats),
     "experiment.test_fraction": ("experiment", "test_fraction", float),
     "experiment.validation_fraction": ("experiment", "validation_fraction", float),
-    "experiment.leaky_alpha_selection": ("experiment", "leaky_alpha_selection", _parse_bool),
     "scenario.name": ("experiment", "scenario", str),
     "scenario.class_shift": ("shifts", "class_shift_magnitude", float),
     "scenario.group_shift": ("shifts", "group_shift_magnitude", float),
@@ -126,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-augmented", dest="output.dump_augmented",
                         help="base path; per-method augmented training sets "
                              "of replicate 0 are written next to it")
-    parser.add_argument("--leaky-alpha-selection", dest="experiment.leaky_alpha_selection",
-                        action="store_const", const="true",
-                        help="select alpha on the test set (leaks test data; "
-                             "off by default)")
     return parser
 
 

@@ -112,8 +112,3 @@ def feature_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     std[std == 0.0] = 1.0
     return mean, std
 
-
-def validate(dataset: Dataset) -> list[str]:
-    """Non-finite feature violations (labels are checked at construction); empty if none."""
-    finite = np.isfinite(dataset.x).all(axis=1)
-    return [f"sample {i}: non-finite feature value" for i in np.nonzero(~finite)[0]]

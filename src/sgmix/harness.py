@@ -73,7 +73,6 @@ class ExperimentConfig:
     counts: object = None  # optional 2x2 override of scenario training counts
     forest: ForestSpec = field(default_factory=ForestSpec)
     mlp: MlpSpec = field(default_factory=MlpSpec)
-    leaky_alpha_selection: bool = False
     dump_augmented: str | None = None
     out: str | None = None
 
@@ -272,24 +271,19 @@ def alpha_search(
     model_kind: str,
     config: ExperimentConfig,
     seed: int,
-    holdout: Dataset | None = None,
 ):
     """Pick the grid alpha with the best validation accuracy + fairness.
 
-    By default each alpha is scored on an internal stratified split of the
-    training data, so no test information leaks into the choice. Passing a
-    holdout scores on it directly instead. All alphas share the same split
-    and the same downstream seeds; ties go to the smaller alpha.
+    Each alpha is scored on an internal stratified split of the training
+    data, so no test information leaks into the choice. All alphas share the
+    same split and the same downstream seeds; ties go to the smaller alpha.
     """
     if not config.alpha_grid:
         raise ValueError("alpha grid is empty")
-    if holdout is None:
-        inner_train, inner_val = train_test_split(
-            train, config.validation_fraction,
-            derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
-        )
-    else:
-        inner_train, inner_val = train, holdout
+    inner_train, inner_val = train_test_split(
+        train, config.validation_fraction,
+        derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
+    )
     inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
     scores: dict[float, float] = {}
     best_alpha, best_score = None, -np.inf
@@ -343,8 +337,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     }
     table.notes = [
         "alpha grid searched: " + table.metadata["alpha_grid"]
-        + (" (leaky holdout selection)" if config.leaky_alpha_selection
-           else " (internal validation selection)"),
+        + " (internal validation selection)",
         ("test sets are balanced at 500 samples per subgroup"
          if config.scenario is not None
          else f"test sets are stratified {config.test_fraction:g} fractions of the CSV"),
@@ -363,10 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                         if config.fixed_alpha is not None:
                             alpha = config.fixed_alpha
                         else:
-                            alpha, _ = alpha_search(
-                                train, method, model_kind, config, cell_seed,
-                                holdout=test if config.leaky_alpha_selection else None,
-                            )
+                            alpha, _ = alpha_search(train, method, model_kind, config, cell_seed)
                     run = run_method(train, method, model_kind, config, cell_seed, alpha=alpha)
                     result: EvalResult = evaluate(run.model, test)
                     table.rows.append(ResultRow(

@@ -61,7 +61,6 @@ class EvalResult:
     accuracy: float
     dp_gap_signed: float
     fairness: float
-    group_counts: tuple[int, int]  # (|z=0|, |z=1|)
 
     def __post_init__(self):
         if abs(self.fairness - (1.0 - abs(self.dp_gap_signed))) > 1e-12:
@@ -78,5 +77,4 @@ def evaluate(model: TrainedModel, test: Dataset) -> EvalResult:
         accuracy=accuracy(preds, test.y),
         dp_gap_signed=gap,
         fairness=1.0 - abs(gap),
-        group_counts=(int(np.sum(test.z == 0)), int(np.sum(test.z == 1))),
     )

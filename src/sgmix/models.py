@@ -7,7 +7,6 @@ shuffle draws from a stream derived up front from that seed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -71,6 +70,8 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"features must be a 2-D matrix, got ndim={x.ndim}")
     if x.shape[0] == 0:
         raise ValueError("empty training set")
+    if x.shape[1] == 0:
+        raise ValueError("features must have at least one column, got 0")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     if y.shape != (x.shape[0],):
@@ -278,27 +279,3 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         return (s >= 0.0).astype(np.int64)
     raise ValueError(f"unknown model kind {model.kind!r}")
 
-
-def model_to_json(model: TrainedModel) -> str:
-    """Serialize a model to JSON with a fixed field order."""
-    if model.kind == "forest":
-        payload = {"trees": model.params["trees"]}
-    elif model.kind == "mlp":
-        payload = {key: model.params[key].tolist()
-                   for key in ("W1", "b1", "w2", "b2", "mean", "std")}
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return json.dumps({"kind": model.kind, "dim": model.dim, "params": payload})
-
-
-def model_from_json(text: str) -> TrainedModel:
-    blob = json.loads(text)
-    kind, dim, payload = blob["kind"], int(blob["dim"]), blob["params"]
-    if kind == "forest":
-        params: dict[str, Any] = {"trees": payload["trees"]}
-    elif kind == "mlp":
-        params = {key: np.asarray(payload[key], dtype=np.float64)
-                  for key in ("W1", "b1", "w2", "b2", "mean", "std")}
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return TrainedModel(kind=kind, dim=dim, params=params)

@@ -1,19 +1,9 @@
 """Exact nearest-neighbor search restricted to one target subgroup."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset, SubgroupKey, subgroup_indices
-
-
-@dataclass(frozen=True)
-class NeighborResult:
-    """K neighbor indices into the dataset, ascending by distance."""
-
-    indices: np.ndarray
-    distances: np.ndarray
 
 
 def knn_in_subgroup(
@@ -21,11 +11,12 @@ def knn_in_subgroup(
     query: np.ndarray,
     target: SubgroupKey,
     k: int,
-) -> NeighborResult:
-    """The k nearest members of the target subgroup, ties broken by dataset index.
+) -> np.ndarray:
+    """Dataset indices of the k nearest target-subgroup members, nearest first.
 
-    Distances are Euclidean in the dataset's own feature space; a caller that
-    wants z-scored distances passes a z-scored dataset and query.
+    Ties in distance go to the smaller dataset index. Distances are
+    Euclidean in the dataset's own feature space; a caller that wants
+    z-scored distances passes a z-scored dataset and query.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -39,5 +30,4 @@ def knn_in_subgroup(
             f"has {members.size} members, need k={k}"
         )
     dist = np.sqrt(((dataset.x[members] - query) ** 2).sum(axis=1))
-    order = np.lexsort((members, dist))[:k]
-    return NeighborResult(indices=members[order], distances=dist[order])
+    return members[np.lexsort((members, dist))[:k]]

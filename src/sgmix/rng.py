@@ -1,8 +1,9 @@
 """Seeded random streams and the draw primitives the pipeline needs.
 
-One master seed drives an experiment replicate; each pipeline stage works on
-its own substream, derived from a fixed offset, so changing how one stage
-consumes randomness never perturbs another stage's draws.
+One master seed drives an experiment replicate; each pipeline stage draws
+from its own stream, keyed by the seed and a path of fixed offsets, so
+changing how one stage consumes randomness never perturbs another stage's
+draws.
 """
 from __future__ import annotations
 
@@ -30,9 +31,10 @@ def derive_seed(seed: int, *path: int) -> int:
 class RngStream:
     """Deterministic pseudo-random stream; equal seeds give equal sequences.
 
-    A stream is single-owner: never share one instance across concurrent
-    workers. Substreams at distinct offsets are statistically independent and
-    may be handed to separate workers.
+    The stream is keyed by (seed, path), the path being a tuple of offsets
+    such as STREAM_OFFSETS values. A stream is single-owner: never share one
+    instance across concurrent workers. Streams at distinct paths are
+    statistically independent and may be handed to separate workers.
     """
 
     __slots__ = ("seed", "path", "gen")
@@ -43,18 +45,12 @@ class RngStream:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
-    def substream(self, offset: int | str) -> "RngStream":
-        """Fresh stream at a fixed offset; `offset` may be a stage name."""
-        if isinstance(offset, str):
-            offset = STREAM_OFFSETS[offset]
-        return RngStream(self.seed, self.path + (int(offset),))
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
-def beta_sample(stream: RngStream, alpha: float, size: int | None = None):
-    """Draw from Beta(alpha, alpha) via two Gamma(alpha) variates.
+def beta_sample(stream: RngStream, alpha: float) -> float:
+    """Draw one value from Beta(alpha, alpha) via two Gamma(alpha) variates.
 
     The gamma-ratio construction stays valid for every alpha > 0, including
     alpha < 1 where the density is unbounded at the endpoints.
@@ -62,17 +58,12 @@ def beta_sample(stream: RngStream, alpha: float, size: int | None = None):
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if size is None:
+    g1 = stream.gen.gamma(alpha)
+    g2 = stream.gen.gamma(alpha)
+    while g1 + g2 == 0.0:  # underflow guard for tiny alpha
         g1 = stream.gen.gamma(alpha)
         g2 = stream.gen.gamma(alpha)
-        while g1 + g2 == 0.0:  # underflow guard for tiny alpha
-            g1 = stream.gen.gamma(alpha)
-            g2 = stream.gen.gamma(alpha)
-        return float(g1 / (g1 + g2))
-    g1 = stream.gen.gamma(alpha, size=size)
-    g2 = stream.gen.gamma(alpha, size=size)
-    total = g1 + g2
-    return np.where(total > 0, g1 / np.where(total > 0, total, 1.0), 0.5)
+    return float(g1 / (g1 + g2))
 
 
 def uniform_index(stream: RngStream, candidates, size: int | None = None):

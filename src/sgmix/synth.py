@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .rng import RngStream
+from .rng import STREAM_OFFSETS, RngStream
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def gen_conditional_gaussian(config: ScenarioConfig) -> Dataset:
     same stream mixes them.
     """
     B, C = shift_vectors(config.shifts)
-    stream = RngStream(config.seed).substream("data-gen")
+    stream = RngStream(config.seed, (STREAM_OFFSETS["data-gen"],))
     xs, ys, zs = [], [], []
     for y in (0, 1):
         for z in (0, 1):

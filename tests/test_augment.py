@@ -4,7 +4,6 @@ import pytest
 from sgmix import (
     Dataset,
     FsgmConfig,
-    bootstrap,
     concat,
     fsgm_augment,
     gen_conditional_gaussian,
@@ -14,9 +13,8 @@ from sgmix import (
     mix_label,
     preset_scenario,
     subgroup_counts,
-    vanilla_mixup,
 )
-from sgmix.augment import MixPair, make_pair
+from sgmix.augment import bootstrap, make_pair, vanilla_mixup
 from sgmix.data import SubgroupKey, subgroup_indices
 from sgmix.rng import RngStream, beta_sample, uniform_index
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmix import dump_augmented_csv
 from sgmix.cli import SETTINGS, config_from_settings, main
 from sgmix.harness import RESULTS_HEADER
+from sgmix.tabular import dump_augmented_csv
 
 from conftest import STANDIN_FEATURES, random_dataset
 
@@ -248,17 +248,23 @@ def test_cli_rejects_non_finite_csv_feature(tmp_path, capsys):
     assert "line 3: non-finite feature 'x1'" in capsys.readouterr().err
 
 
-def test_config_from_settings_returns_config_or_value_error():
-    """Random settings dicts never escape as anything but a ValueError."""
+def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatch, capsys,
+                                                            standin_path):
+    """Random settings dicts never escape as anything but a ValueError.
+
+    The first ten that build a config also run through `main`, shrunk to one
+    replicate, two trees and one epoch; each exits 0, 1 or 2 with no traceback.
+    """
     pool = ("", "nan", "inf", "-1", "0", "1e400", "99999999999999999999", "abc",
             "1,0->0,0", "1->0")
     keys = sorted(SETTINGS) + ["experiment.turbo", "forest.seed", "mlp.seed", "scenario"]
     bases = (
         {"scenario.name": "unbalanced-groups", "experiment.out": "r.csv"},
-        {"csv.path": "input.csv", "experiment.out": "r.csv", **STANDIN_SCHEMA},
+        {"csv.path": standin_path, "experiment.out": "r.csv", **STANDIN_SCHEMA},
     )
     rng = random.Random(0)
     outcomes = {"config": 0, "error": 0}
+    built = []
     for _ in range(300):
         settings = dict(rng.choice(bases))
         for key in rng.sample(keys, rng.randint(1, 4)):
@@ -269,6 +275,7 @@ def test_config_from_settings_returns_config_or_value_error():
             outcomes["error"] += 1
             continue
         outcomes["config"] += 1
+        built.append(settings)
         assert out == config.out
         reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
                  config.mlp.learning_rate]
@@ -280,11 +287,22 @@ def test_config_from_settings_returns_config_or_value_error():
         assert all(math.isfinite(v) for v in reals), settings
     assert outcomes["config"] > 0 and outcomes["error"] > 0, outcomes
 
+    monkeypatch.chdir(tmp_path)  # drawn output and dump paths are relative
+    shrink = {"experiment.replicates": "1", "forest.n_trees": "2", "mlp.epochs": "1"}
+    for i, settings in enumerate(built[:10]):
+        cfg = tmp_path / f"draw{i}.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n"
+                               for key, value in {**settings, **shrink}.items()))
+        code = main(["--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (settings, code, err)
+        assert "Traceback" not in err, settings
+
 
 def test_readme_key_table_matches_settings():
     section = README.read_text().split("### Config file", 1)[1].split("\n#", 1)[0]
     documented = set()
     for prefix, names in re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.MULTILINE):
         documented.update(f"{prefix}.{name}" for name in re.findall(r"`(\w+)`", names))
-    assert len(documented) == 40
+    assert len(documented) == 39
     assert documented == set(SETTINGS)

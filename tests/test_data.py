@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from sgmix import (
-    ALL_SUBGROUPS,
     Dataset,
-    SubgroupKey,
     concat,
     gen_conditional_gaussian,
     preset_scenario,
     subgroup_counts,
     subgroup_indices,
-    validate,
 )
+from sgmix.data import ALL_SUBGROUPS, SubgroupKey
 
 from conftest import random_dataset
 
@@ -47,7 +45,6 @@ def test_dataset_is_immutable():
 def test_empty_dataset():
     ds = Dataset.empty(4)
     assert len(ds) == 0 and ds.dim == 4
-    assert validate(ds) == []
     np.testing.assert_array_equal(subgroup_counts(ds), np.zeros((2, 2), dtype=int))
 
 
@@ -85,10 +82,7 @@ def test_subgroup_indices_partition_property():
         np.testing.assert_array_equal(np.sort(seen), np.arange(len(ds)))
 
 
-def test_validate_reports_violations():
-    ds = Dataset([[np.nan], [1.0], [2.0]], [0, 1, 1], [0, 0, 1])
-    assert validate(ds) == ["sample 0: non-finite feature value"]
-    assert validate(random_dataset(1)) == []
+def test_dataset_rejects_labels_outside_0_1():
     with pytest.raises(ValueError, match=r"sample 1: class label 2 outside \{0, 1\}"):
         Dataset([[np.nan], [1.0], [2.0]], [0, 2, 1], [0, 0, 3])
     with pytest.raises(ValueError, match=r"sample 2: group label 3 outside \{0, 1\}"):

@@ -7,15 +7,11 @@ from sgmix import (
     ExperimentConfig,
     ForestSpec,
     MlpSpec,
-    alpha_search,
-    concat,
-    dump_augmented_csv,
     emit_results,
     evaluate,
     run_experiment,
     run_method,
     subgroup_counts,
-    train_test_split,
 )
 from sgmix.harness import (
     DEFAULT_ALPHA_GRID,
@@ -23,8 +19,11 @@ from sgmix.harness import (
     METHODS,
     RESULTS_HEADER,
     ResultTable,
+    alpha_search,
+    train_test_split,
 )
 from sgmix.rng import STREAM_OFFSETS, derive_seed
+from sgmix.tabular import dump_augmented_csv
 
 from conftest import random_dataset
 
@@ -227,18 +226,6 @@ def test_alpha_search_matches_independent_recomputation():
     assert scores == recomputed
     expected = min(a for a, s in scores.items() if s == max(scores.values()))
     assert best == expected
-
-
-def test_alpha_search_holdout_mode_scores_on_holdout():
-    train = random_dataset(14, t=60, d=2)
-    holdout = random_dataset(15, t=40, d=2)
-    config = small_config(alpha_grid=(1.0,), fixed_alpha=None, pairs=BOTH_WAY_PAIRS)
-    seed = 16
-    _, scores = alpha_search(train, "fsgm", "forest", config, seed=seed, holdout=holdout)
-    inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
-    run = run_method(train, "fsgm", "forest", config, inner_seed, alpha=1.0)
-    result = evaluate(run.model, holdout)
-    assert scores[1.0] == result.accuracy + result.fairness
 
 
 # ---------------------------------------------------------------- experiment

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from sgmix import (
-    Dataset,
-    EvalResult,
-    TrainedModel,
-    accuracy,
-    dp_gap,
-    evaluate,
-    fairness_score,
-)
+from sgmix import Dataset, accuracy, dp_gap, evaluate, fairness_score
+from sgmix.metrics import EvalResult
+from sgmix.models import TrainedModel
 
 
 # ---------------------------------------------------------------- accuracy
@@ -108,7 +102,6 @@ def test_evaluate_hand_built_six_samples():
     # group 0 positive rate 2/3, group 1 positive rate 1/3
     assert result.dp_gap_signed == pytest.approx(1 / 3)
     assert result.fairness == pytest.approx(2 / 3)
-    assert result.group_counts == (3, 3)
 
 
 def test_evaluate_perfect_predictor():
@@ -120,9 +113,9 @@ def test_evaluate_perfect_predictor():
 
 
 def test_eval_result_consistency_enforced():
-    EvalResult(accuracy=0.5, dp_gap_signed=-0.25, fairness=0.75, group_counts=(2, 2))
+    EvalResult(accuracy=0.5, dp_gap_signed=-0.25, fairness=0.75)
     with pytest.raises(ValueError, match="fairness"):
-        EvalResult(accuracy=0.5, dp_gap_signed=-0.25, fairness=0.9, group_counts=(2, 2))
+        EvalResult(accuracy=0.5, dp_gap_signed=-0.25, fairness=0.9)
 
 
 def test_fairness_in_unit_interval_property():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sgmix import Dataset, SubgroupKey, knn_in_subgroup
-from sgmix.data import feature_standardizer, subgroup_indices
+from sgmix.data import Dataset, SubgroupKey, feature_standardizer, subgroup_indices
+from sgmix.neighbors import knn_in_subgroup
 
 from conftest import random_dataset
 
@@ -10,18 +10,17 @@ from conftest import random_dataset
 def test_knn_one_dimensional_hand_case():
     # target members at x = 1, 2, 5; query at 0 -> nearest two are 1 and 2
     ds = Dataset([[1.0], [2.0], [5.0], [0.5]], [1, 1, 1, 0], [0, 0, 0, 0])
-    res = knn_in_subgroup(ds, np.array([0.0]), SubgroupKey(1, 0), k=2)
-    np.testing.assert_array_equal(res.indices, [0, 1])
-    np.testing.assert_allclose(res.distances, [1.0, 2.0])
+    nearest = knn_in_subgroup(ds, np.array([0.0]), SubgroupKey(1, 0), k=2)
+    np.testing.assert_array_equal(nearest, [0, 1])
 
 
 def test_knn_whole_subgroup_when_k_equals_size():
     ds = random_dataset(8, t=30)
     key = SubgroupKey(1, 1)
     members = subgroup_indices(ds, key)
-    res = knn_in_subgroup(ds, ds.x[0], key, k=members.size)
-    assert sorted(res.indices) == sorted(members)
-    assert (np.diff(res.distances) >= 0).all()
+    nearest = knn_in_subgroup(ds, ds.x[0], key, k=members.size)
+    assert sorted(nearest) == sorted(members)
+    assert (np.diff(np.linalg.norm(ds.x[nearest] - ds.x[0], axis=1)) >= 0).all()
 
 
 def test_knn_insufficient_members_error_names_counts():
@@ -33,8 +32,8 @@ def test_knn_insufficient_members_error_names_counts():
 def test_knn_ties_broken_by_dataset_index():
     # three equidistant members; the two lowest indices win
     ds = Dataset([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 0.0]], [1, 1, 1, 0], [1, 1, 1, 1])
-    res = knn_in_subgroup(ds, np.array([0.0, 0.0]), SubgroupKey(1, 1), k=2)
-    np.testing.assert_array_equal(res.indices, [0, 1])
+    nearest = knn_in_subgroup(ds, np.array([0.0, 0.0]), SubgroupKey(1, 1), k=2)
+    np.testing.assert_array_equal(nearest, [0, 1])
 
 
 def test_knn_matches_full_sort_oracle():
@@ -48,9 +47,8 @@ def test_knn_matches_full_sort_oracle():
         expected = sorted(
             (float(np.linalg.norm(ds.x[m] - query)), m) for m in members
         )[:k]
-        res = knn_in_subgroup(ds, query, key, k=k)
-        np.testing.assert_array_equal(res.indices, [m for _, m in expected])
-        np.testing.assert_allclose(res.distances, [d for d, _ in expected])
+        nearest = knn_in_subgroup(ds, query, key, k=k)
+        np.testing.assert_array_equal(nearest, [m for _, m in expected])
 
 
 def test_knn_result_for_k_is_prefix_of_k_plus_one():
@@ -60,14 +58,13 @@ def test_knn_result_for_k_is_prefix_of_k_plus_one():
     for k in range(1, 8):
         small = knn_in_subgroup(ds, query, key, k=k)
         big = knn_in_subgroup(ds, query, key, k=k + 1)
-        np.testing.assert_array_equal(big.indices[:k], small.indices)
+        np.testing.assert_array_equal(big[:k], small)
 
 
 def test_knn_returns_only_target_subgroup():
     ds = random_dataset(5, t=60)
     key = SubgroupKey(1, 0)
-    res = knn_in_subgroup(ds, ds.x[1], key, k=4)
-    for i in res.indices:
+    for i in knn_in_subgroup(ds, ds.x[1], key, k=4):
         assert ds.y[i] == 1 and ds.z[i] == 0
 
 

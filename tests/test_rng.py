@@ -19,13 +19,14 @@ def test_equal_seeds_give_equal_sequences():
 
 
 def test_substreams_are_stable_and_distinct():
-    root = RngStream(5)
-    assert root.substream("augmentation").path == (STREAM_OFFSETS["augmentation"],)
-    x = root.substream("data-gen").gen.standard_normal(4)
-    y = RngStream(5).substream("data-gen").gen.standard_normal(4)
+    # a stage's stream is keyed by the master seed and the stage's offset path
+    data_gen = (STREAM_OFFSETS["data-gen"],)
+    x = RngStream(5, data_gen).gen.standard_normal(4)
+    y = RngStream(5, data_gen).gen.standard_normal(4)
     np.testing.assert_array_equal(x, y)
-    z = RngStream(5).substream("split").gen.standard_normal(4)
+    z = RngStream(5, (STREAM_OFFSETS["split"],)).gen.standard_normal(4)
     assert not np.allclose(x, z)
+    assert not np.allclose(x, RngStream(5).gen.standard_normal(4))
 
 
 def test_derive_seed_depends_on_full_path():
@@ -41,6 +42,10 @@ def test_substream_cross_correlation_negligible():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
 
+def beta_draws(stream, alpha, n):
+    return np.array([beta_sample(stream, alpha) for _ in range(n)])
+
+
 def test_beta_rejects_bad_alpha():
     stream = RngStream(0)
     for alpha in (0.0, -1.0):
@@ -51,25 +56,25 @@ def test_beta_rejects_bad_alpha():
 def test_beta_always_in_unit_interval():
     stream = RngStream(3)
     for alpha in (0.01, 0.1, 1.0, 4.0):
-        draws = beta_sample(stream, alpha, size=5000)
+        draws = beta_draws(stream, alpha, 5000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
 def test_beta_uniform_case_mean():
-    draws = beta_sample(RngStream(11), 1.0, size=100_000)
+    draws = beta_draws(RngStream(11), 1.0, 100_000)
     assert abs(draws.mean() - 0.5) < 0.005
 
 
 def test_beta_variance_matches_closed_form():
     # Var Beta(a, a) = a^2 / ((2a)^2 (2a+1)) = 1 / (4 (2a+1)); a=2 gives 0.05
-    draws = beta_sample(RngStream(12), 2.0, size=100_000)
+    draws = beta_draws(RngStream(12), 2.0, 100_000)
     assert abs(draws.var() - 0.05) < 0.005
 
 
 def test_beta_symmetric_about_half():
     # two-sample Kolmogorov-Smirnov between lambda and 1-lambda draws
-    draws = beta_sample(RngStream(13), 0.4, size=100_000)
-    flipped = 1.0 - beta_sample(RngStream(14), 0.4, size=100_000)
+    draws = beta_draws(RngStream(13), 0.4, 100_000)
+    flipped = 1.0 - beta_draws(RngStream(14), 0.4, 100_000)
     grid = np.sort(np.concatenate([draws, flipped]))
     cdf_a = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
     cdf_b = np.searchsorted(np.sort(flipped), grid, side="right") / flipped.size

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from sgmix import (
-    CsvSchema,
-    Dataset,
-    dump_augmented_csv,
-    load_config,
-    load_csv,
-    parse_config_text,
-    subgroup_counts,
-)
+from sgmix import CsvSchema, load_csv, subgroup_counts
+from sgmix.tabular import dump_augmented_csv, load_config, parse_config_text
 
 from conftest import STANDIN_FEATURES, random_dataset
 
