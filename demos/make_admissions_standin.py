@@ -7,9 +7,10 @@ outcome table: 7 numeric columns, a pass/fail label, and a two-valued group
 column, with the group underrepresented and shifted so that a group-blind
 model trained on the raw data produces a sizable demographic-parity gap.
 
-Construction: features start as a 7-dimensional conditional Gaussian whose
-class shift and group shift are correlated (the group shift has a large
-component along the class axis). Each column is then scaled and offset to a
+Construction: features start as a 7-dimensional conditional Gaussian, drawn
+with sgmix's own `gen_conditional_gaussian`, whose class shift and group
+shift are correlated (the group shift has a large component along the class
+axis). Each column is then scaled and offset to a
 plausible admissions-flavored range. Both shifts are fixed here, not fit to
 anything; rerunning this script reproduces the committed file byte for byte.
 """
@@ -18,23 +19,17 @@ import csv
 import math
 import pathlib
 
-import numpy as np
+from sgmix import ScenarioConfig, ShiftSpec, gen_conditional_gaussian
 
-from sgmix.rng import RngStream
+# Subgroup sizes indexed [y, z]: group B (z=0) is underrepresented overall and
+# has a much lower pass rate, echoing the kind of imbalance the augmenter is
+# meant to address. z=1 is group A, the majority.
+COUNTS = [[210, 560], [330, 1700]]
 
-# Subgroup sizes: group B is underrepresented overall and has a much lower
-# pass rate, echoing the kind of imbalance the augmenter is meant to address.
-COUNTS = {  # (y, z): rows; z=1 is group A (majority), z=0 is group B
-    (1, 1): 1700,
-    (0, 1): 560,
-    (1, 0): 330,
-    (0, 0): 210,
-}
-
-CLASS_SHIFT = 1.15  # along e1
-GROUP_SHIFT = 1.0   # at ANGLE from e1, so it leaks into the class axis
-ANGLE = math.pi / 6
-DIM = 7
+# The class shift lies along e1; the group shift sits at pi/6 from it, so it
+# leaks into the class axis.
+SHIFTS = ShiftSpec(class_shift_magnitude=1.15, group_shift_magnitude=1.0,
+                   angle=math.pi / 6, dim=7)
 
 # Per-column affine maps from the standard-normal scale to readable ranges.
 COLUMNS = (
@@ -48,29 +43,15 @@ COLUMNS = (
 )
 
 
-def subgroup_mean(y: int, z: int) -> np.ndarray:
-    b = np.zeros(DIM)
-    b[0] = CLASS_SHIFT if y == 1 else -CLASS_SHIFT
-    c = np.zeros(DIM)
-    c[0] = GROUP_SHIFT * math.cos(ANGLE)
-    c[1] = GROUP_SHIFT * math.sin(ANGLE)
-    if z == 0:
-        c = -c
-    return b + c
-
-
 def build_rows(seed: int) -> list[list[str]]:
-    stream = RngStream(seed, (1,))
+    data = gen_conditional_gaussian(ScenarioConfig(COUNTS, SHIFTS, seed=seed))
     rows = []
-    for (y, z), n in sorted(COUNTS.items()):
-        x = subgroup_mean(y, z) + stream.gen.standard_normal((n, DIM))
-        for row in x:
-            cells = [f"{scale * v + offset:.4f}" for v, (_, scale, offset) in zip(row, COLUMNS)]
-            cells.append("pass" if y == 1 else "fail")
-            cells.append("A" if z == 1 else "B")
-            rows.append(cells)
-    order = stream.gen.permutation(len(rows))
-    return [rows[i] for i in order]
+    for x, y, z in zip(data.x, data.y, data.z):
+        cells = [f"{scale * v + offset:.4f}" for v, (_, scale, offset) in zip(x, COLUMNS)]
+        cells.append("pass" if y == 1 else "fail")
+        cells.append("A" if z == 1 else "B")
+        rows.append(cells)
+    return rows
 
 
 def main():

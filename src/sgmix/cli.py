@@ -165,18 +165,17 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
             raise ValueError(f"{key}: {exc}") from None
 
     fields = parts["experiment"]
-    out = fields.get("out")
+    out = fields.pop("out", None)
     if out is None:
         raise ValueError("an output path is required (--out or experiment.out)")
     scenario = fields.get("scenario")
-    if scenario is None and (parts["shifts"] or parts["counts"]):
-        keys = sorted(key for key in settings if SETTINGS[key][0] in ("shifts", "counts"))
-        raise ValueError(f"{', '.join(keys)}: set only with scenario.name (--scenario)")
-    if scenario is not None and parts["shifts"]:
-        fields["shifts"] = dataclasses.replace(preset_scenario(scenario).shifts,
-                                               **parts["shifts"])
-    if scenario is not None and parts["counts"]:
-        counts = preset_scenario(scenario).counts.tolist()
+    if parts["shifts"] or parts["counts"]:
+        if scenario is None:
+            keys = sorted(key for key in settings if SETTINGS[key][0] in ("shifts", "counts"))
+            raise ValueError(f"{', '.join(keys)}: set only with scenario.name (--scenario)")
+        preset = preset_scenario(scenario)
+        fields["shifts"] = dataclasses.replace(preset.shifts, **parts["shifts"])
+        counts = preset.counts.tolist()
         for (y, z), n in parts["counts"].items():
             counts[y][z] = n
         fields["counts"] = counts
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
         config, out = config_from_settings(_merged_settings(args))
         table = run_experiment(config)
         emit_results(table, out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if table.errors and not table.rows:

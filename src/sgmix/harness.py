@@ -28,6 +28,7 @@ from .models import ForestSpec, MlpSpec, TrainedModel, train_forest, train_mlp
 from .rng import STREAM_OFFSETS, RngStream, derive_seed
 from .synth import (
     SCENARIO_NAMES,
+    TEST_COUNT_PER_SUBGROUP,
     ScenarioConfig,
     ShiftSpec,
     balanced_test_config,
@@ -53,7 +54,11 @@ DEFAULT_PAIRS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything run_experiment needs; exactly one data source must be set."""
+    """Everything run_experiment needs; exactly one data source must be set.
+
+    Unset pairs, kNN scaling and a scenario's shifts and counts are filled in
+    here from the data source, so the harness reads plain fields.
+    """
 
     scenario: str | None = None
     csv_path: str | None = None
@@ -67,14 +72,13 @@ class ExperimentConfig:
     test_fraction: float = 0.3
     validation_fraction: float = 0.25
     pairs: tuple | None = None
-    k: int = 5
-    standardize_knn: bool | None = None  # None: on for CSV data, off for synthetic
-    shifts: ShiftSpec | None = None
-    counts: object = None  # optional 2x2 override of scenario training counts
+    k: int = FsgmConfig.k
+    standardize_knn: bool | None = None
+    shifts: ShiftSpec | None = None  # scenario only
+    counts: object = None  # scenario only: 2x2 training counts indexed [y, z]
     forest: ForestSpec = field(default_factory=ForestSpec)
     mlp: MlpSpec = field(default_factory=MlpSpec)
     dump_augmented: str | None = None
-    out: str | None = None
 
     def __post_init__(self):
         has_scenario = self.scenario is not None
@@ -95,6 +99,9 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if not self.models or unknown:
             raise ValueError(f"models must be a nonempty subset of {MODEL_KINDS}")
+        for name in ("methods", "models"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
@@ -111,15 +118,25 @@ class ExperimentConfig:
             raise ValueError(f"fixed_alpha must be finite and > 0, got {self.fixed_alpha}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.pairs is not None:
-            check_pairs(self.pairs)
-        if self.counts is not None:
-            try:
-                counts = np.asarray(self.counts, dtype=np.int64)
-            except OverflowError:
-                raise ValueError(f"counts must fit in int64, got {self.counts}") from None
-            # Validates the shape, signs and total the generator will see.
-            object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
+        source = self.scenario if has_scenario else "csv"
+        object.__setattr__(self, "pairs", check_pairs(
+            DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
+        if self.standardize_knn is None:
+            object.__setattr__(self, "standardize_knn", has_csv)
+        if has_csv:
+            if self.shifts is not None or self.counts is not None:
+                raise ValueError("shifts and counts apply only to a scenario, not to csv_path")
+            return
+        preset = preset_scenario(self.scenario)
+        if self.shifts is None:
+            object.__setattr__(self, "shifts", preset.shifts)
+        try:
+            counts = np.asarray(preset.counts if self.counts is None else self.counts,
+                                dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"counts must fit in int64, got {self.counts}") from None
+        # Validates the shape, signs and total the generator will see.
+        object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
 
 
 @dataclass(frozen=True)
@@ -197,19 +214,6 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     return train, test
 
 
-def _resolve_pairs(config: ExperimentConfig):
-    if config.pairs is not None:
-        return tuple(config.pairs)
-    key = config.scenario if config.scenario is not None else "csv"
-    return DEFAULT_PAIRS[key]
-
-
-def _resolve_standardize(config: ExperimentConfig) -> bool:
-    if config.standardize_knn is not None:
-        return config.standardize_knn
-    return config.csv_path is not None
-
-
 def _train_model(data: Dataset, model_kind: str, config: ExperimentConfig, seed: int):
     model_seed = derive_seed(seed, STREAM_OFFSETS["model-init"])
     if model_kind == "forest":
@@ -230,6 +234,7 @@ def run_method(
     """Augment to exactly 2T rows, then fit the requested model."""
     t = len(train)
     aug_seed = derive_seed(seed, STREAM_OFFSETS["augmentation"])
+    mix_alpha = FsgmConfig.alpha if alpha is None else alpha
     if method == "original":
         data = bootstrap(train, 2 * t, derive_seed(seed, STREAM_OFFSETS["bootstrap"]))
         origins = ("original",) * t + ("bootstrap",) * t
@@ -237,18 +242,18 @@ def run_method(
         report = fsgm_augment(
             train,
             FsgmConfig(
-                pairs=_resolve_pairs(config),
+                pairs=config.pairs,
                 new_count=t,
                 k=config.k,
-                alpha=alpha if alpha is not None else 1.0,
+                alpha=mix_alpha,
                 seed=aug_seed,
-                standardize=_resolve_standardize(config),
+                standardize=config.standardize_knn,
             ),
         )
         data = concat(train, report.produced)
         origins = ("original",) * t + ("fsgm",) * t
     elif method == "vanilla-mixup":
-        produced = vanilla_mixup(train, t, alpha if alpha is not None else 1.0, aug_seed)
+        produced = vanilla_mixup(train, t, mix_alpha, aug_seed)
         data = concat(train, produced)
         origins = ("original",) * t + ("vanilla",) * t
     elif method == "group-swap":
@@ -305,15 +310,13 @@ def _dump_path(base: str, method: str) -> str:
 
 def _replicate_data(config: ExperimentConfig, full: Dataset | None, rep_seed: int):
     if config.scenario is not None:
-        preset = preset_scenario(config.scenario)
-        shifts = config.shifts if config.shifts is not None else preset.shifts
-        counts = preset.counts if config.counts is None else config.counts
         train = gen_conditional_gaussian(
-            ScenarioConfig(counts=counts, shifts=shifts,
+            ScenarioConfig(counts=config.counts, shifts=config.shifts,
                            seed=derive_seed(rep_seed, STREAM_OFFSETS["data-gen"]))
         )
         test = gen_conditional_gaussian(
-            balanced_test_config(shifts, derive_seed(rep_seed, STREAM_OFFSETS["test-gen"]))
+            balanced_test_config(config.shifts,
+                                 derive_seed(rep_seed, STREAM_OFFSETS["test-gen"]))
         )
         return train, test
     return train_test_split(full, config.test_fraction, rep_seed)
@@ -327,18 +330,21 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     table = ResultTable()
     table.metadata = {
         "source": config.scenario if config.scenario is not None else config.csv_path,
-        "pairs": repr(_resolve_pairs(config)),
+        "pairs": repr(config.pairs),
         "methods": ",".join(config.methods),
         "models": ",".join(config.models),
         "replicates": config.replicates,
         "seed": config.seed,
         "alpha_grid": ",".join(str(a) for a in sorted(config.alpha_grid)),
-        "knn_standardize": _resolve_standardize(config),
+        "knn_standardize": config.standardize_knn,
     }
-    table.notes = [
-        "alpha grid searched: " + table.metadata["alpha_grid"]
-        + " (internal validation selection)",
-        ("test sets are balanced at 500 samples per subgroup"
+    if any(method in ALPHA_METHODS for method in config.methods):
+        table.notes.append(
+            f"alpha fixed at {config.fixed_alpha:g}" if config.fixed_alpha is not None
+            else "alpha grid searched: " + table.metadata["alpha_grid"]
+            + " (internal validation selection)")
+    table.notes += [
+        (f"test sets are balanced at {TEST_COUNT_PER_SUBGROUP} samples per subgroup"
          if config.scenario is not None
          else f"test sets are stratified {config.test_fraction:g} fractions of the CSV"),
         f"forest defaults: {config.forest}",

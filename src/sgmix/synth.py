@@ -107,8 +107,6 @@ def gen_conditional_gaussian(config: ScenarioConfig) -> Dataset:
     return Dataset(x[order], y_all[order], z_all[order])
 
 
-SCENARIO_NAMES = ("unbalanced-groups", "unbalanced-class", "underrepresented-subgroup")
-
 # Training counts indexed [y, z]; angle per scenario. Test sets are generated
 # separately with TEST_COUNT_PER_SUBGROUP in every cell so accuracy and DP gap
 # estimates carry equal weight per subgroup.
@@ -117,6 +115,7 @@ _PRESETS = {
     "unbalanced-class": (np.array([[100, 100], [60, 10]]), math.pi / 2),
     "underrepresented-subgroup": (np.array([[200, 200], [10, 200]]), math.pi / 6),
 }
+SCENARIO_NAMES = tuple(_PRESETS)
 
 TEST_COUNT_PER_SUBGROUP = 500
 

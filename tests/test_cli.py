@@ -212,6 +212,8 @@ BAD_VALUES = [
     ("fsgm.pairs = 5,5->0,0", "scenario", "0 or 1"),
     ("scenario.angle = nan", "csv", "scenario.angle"),
     ("scenario.t00 = -5", "csv", "scenario.t00"),
+    ("experiment.methods = original,original", "scenario", "methods must not repeat"),
+    ("experiment.models = forest,forest", "scenario", "models must not repeat"),
 ]
 
 
@@ -233,6 +235,22 @@ def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, nam
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and name in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["scenario.t00", "scenario.dim"])
+def test_cli_rejects_size_that_cannot_be_allocated(tmp_path, capsys, key):
+    # 10**15 rows or columns of float64 exceed any address space, so numpy
+    # refuses the allocation before it touches memory.
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = {10**15}\n")
+    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups", "--out", str(out),
+                 *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -276,7 +294,7 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
             continue
         outcomes["config"] += 1
         built.append(settings)
-        assert out == config.out
+        assert out == settings["experiment.out"]
         reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
                  config.mlp.learning_rate]
         if config.fixed_alpha is not None:

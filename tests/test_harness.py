@@ -6,13 +6,17 @@ from sgmix import (
     Dataset,
     ExperimentConfig,
     ForestSpec,
+    FsgmConfig,
     MlpSpec,
+    ShiftSpec,
     emit_results,
     evaluate,
+    preset_scenario,
     run_experiment,
     run_method,
     subgroup_counts,
 )
+from sgmix.augment import check_pairs
 from sgmix.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_PAIRS,
@@ -272,6 +276,7 @@ def test_run_experiment_grid_search_fills_alpha():
     table = run_experiment(config)
     assert len(table.rows) == 1
     assert table.rows[0].alpha in (0.5, 1.0)
+    assert table.notes[0] == "alpha grid searched: 0.5,1.0 (internal validation selection)"
 
 
 def test_run_experiment_metadata_and_notes():
@@ -279,8 +284,15 @@ def test_run_experiment_metadata_and_notes():
     assert table.metadata["source"] == "unbalanced-groups"
     assert table.metadata["methods"] == "original,fsgm"
     assert table.metadata["knn_standardize"] is False
-    assert repr(DEFAULT_PAIRS["unbalanced-groups"]) == table.metadata["pairs"]
-    assert any("internal validation selection" in n for n in table.notes)
+    assert table.metadata["pairs"] == repr(check_pairs(DEFAULT_PAIRS["unbalanced-groups"]))
+    assert table.notes[0] == "alpha fixed at 1"
+    assert not any("alpha" in n for n in table.notes[1:])
+
+
+def test_run_experiment_without_alpha_method_has_no_alpha_note():
+    table = run_experiment(small_config(methods=("original",), replicates=1, fixed_alpha=None))
+    assert not any("alpha" in n for n in table.notes)
+    assert table.notes[0] == "test sets are balanced at 500 samples per subgroup"
 
 
 def test_run_experiment_csv_source(tmp_path):
@@ -344,6 +356,38 @@ def test_experiment_config_validation():
         ExperimentConfig(scenario="unbalanced-groups", replicates=0)
     with pytest.raises(ValueError, match="alpha_grid"):
         ExperimentConfig(scenario="unbalanced-groups", alpha_grid=())
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        ExperimentConfig(scenario="unbalanced-groups", methods=("original", "original"))
+    with pytest.raises(ValueError, match="models must not repeat"):
+        ExperimentConfig(scenario="unbalanced-groups", models=("forest", "forest"))
+
+
+@pytest.mark.parametrize("override", [
+    {"shifts": ShiftSpec(angle=0.5)},
+    {"counts": [[10, 10], [10, 10]]},
+])
+def test_experiment_config_rejects_scenario_settings_with_csv(standin_path, standin_schema,
+                                                              override):
+    with pytest.raises(ValueError, match="only to a scenario"):
+        ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema, **override)
+
+
+def test_experiment_config_fills_source_defaults(standin_path, standin_schema):
+    synthetic = ExperimentConfig(scenario="underrepresented-subgroup")
+    preset = preset_scenario("underrepresented-subgroup")
+    assert synthetic.pairs == check_pairs(DEFAULT_PAIRS["underrepresented-subgroup"])
+    assert synthetic.standardize_knn is False
+    assert synthetic.shifts == preset.shifts
+    np.testing.assert_array_equal(synthetic.counts, preset.counts)
+    assert synthetic.counts.dtype == np.int64 and not synthetic.counts.flags.writeable
+    assert synthetic.k == FsgmConfig.k
+
+    tabular = ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema,
+                               pairs=BOTH_WAY_PAIRS, standardize_knn=False)
+    assert tabular.pairs == check_pairs(BOTH_WAY_PAIRS)
+    assert tabular.standardize_knn is False
+    assert tabular.shifts is None and tabular.counts is None
+    assert ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema).standardize_knn
 
 
 # ---------------------------------------------------------------- emit
