@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, SubgroupKey, concat, feature_standardizer, subgroup_indices
 from .neighbors import knn_in_subgroup
-from .rng import RngStream, beta_sample, uniform_index
+from .rng import RngStream, beta_sample
 
 
 class MixPair(NamedTuple):
@@ -156,7 +156,8 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     draws = []
     for b in range(-(-config.new_count // config.k)):
         pair = config.pairs[b % len(config.pairs)]
-        i = uniform_index(stream, source_members[pair])
+        members = source_members[pair]
+        i = members[stream.integers(members.size)]
         nearest = knn_in_subgroup(search, search.x[i], pair.target, config.k)
         draws.append((i, nearest, beta_sample(stream, config.alpha)))
     sources, neighbors, lams = (np.array(column) for column in zip(*draws))
@@ -181,11 +182,11 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
         if by_class[c].size == 0:
             raise ValueError(f"class {c} is empty; cross-class mixup needs both classes")
     stream = RngStream(seed)
-    everyone = np.arange(len(dataset))
     draws = []
     for _ in range(new_count):
-        i = uniform_index(stream, everyone)
-        j = uniform_index(stream, by_class[1 - int(dataset.y[i])])
+        i = stream.integers(len(dataset))
+        partners = by_class[1 - int(dataset.y[i])]
+        j = partners[stream.integers(partners.size)]
         draws.append((i, j, beta_sample(stream, alpha)))
     return _mix_rows(dataset, *(np.array(column) for column in zip(*draws)))
 
@@ -199,8 +200,7 @@ def group_swap_augment(dataset: Dataset, new_count: int, seed: int) -> Dataset:
         raise ValueError("cannot augment an empty dataset")
     if new_count < 1:
         raise ValueError(f"new_count must be >= 1, got {new_count}")
-    stream = RngStream(seed)
-    picks = uniform_index(stream, np.arange(len(dataset)), size=new_count)
+    picks = RngStream(seed).integers(len(dataset), size=new_count)
     return Dataset(dataset.x[picks], dataset.y[picks], 1 - dataset.z[picks])
 
 
@@ -215,7 +215,6 @@ def bootstrap(dataset: Dataset, total_size: int, seed: int) -> Dataset:
     extra = total_size - len(dataset)
     if extra == 0:
         return dataset
-    stream = RngStream(seed)
-    picks = uniform_index(stream, np.arange(len(dataset)), size=extra)
+    picks = RngStream(seed).integers(len(dataset), size=extra)
     copies = Dataset(dataset.x[picks], dataset.y[picks], dataset.z[picks])
     return concat(dataset, copies)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .harness import METHODS, MODEL_KINDS, ExperimentConfig, emit_results, run_experiment
 from .models import ForestSpec, MlpSpec
@@ -190,6 +191,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, out = config_from_settings(_merged_settings(args))
+        # Fail before training, not when the first file is written.
+        for key, path in (("experiment.out", out),
+                          ("output.dump_augmented", config.dump_augmented)):
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
         table = run_experiment(config)
         emit_results(table, out)
     except (ValueError, OSError, MemoryError) as exc:

@@ -99,7 +99,7 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODEL_KINDS]
         if not self.models or unknown:
             raise ValueError(f"models must be a nonempty subset of {MODEL_KINDS}")
-        for name in ("methods", "models"):
+        for name in ("methods", "models", "alpha_grid"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
         if self.replicates < 1:
@@ -202,7 +202,7 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
         if members.size == 1:
             train_idx.append(members)
             continue
-        perm = stream.gen.permutation(members)
+        perm = stream.permutation(members)
         n_test = int(round(members.size * test_fraction))
         n_test = min(max(n_test, 1), members.size - 1)
         test_idx.append(perm[:n_test])
@@ -365,6 +365,12 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                             alpha, _ = alpha_search(train, method, model_kind, config, cell_seed)
                     run = run_method(train, method, model_kind, config, cell_seed, alpha=alpha)
                     result: EvalResult = evaluate(run.model, test)
+                    # Dump first: a failed dump must leave an error row, not a row too.
+                    if config.dump_augmented and r == 0 and ki == 0:
+                        dump_augmented_csv(
+                            _dump_path(config.dump_augmented, method),
+                            run.train_data, run.origins,
+                        )
                     table.rows.append(ResultRow(
                         method=method,
                         model=model_kind,
@@ -376,11 +382,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                         train_size=len(run.train_data),
                         seed=rep_seed,
                     ))
-                    if config.dump_augmented and r == 0 and ki == 0:
-                        dump_augmented_csv(
-                            _dump_path(config.dump_augmented, method),
-                            run.train_data, run.origins,
-                        )
                 except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                     table.errors.append(
                         CellError(method, model_kind, r, str(exc), type(exc).__name__))

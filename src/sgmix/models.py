@@ -132,7 +132,7 @@ def _grow_tree(xt, y, idx, ones, spec, m, stream, depth):
     if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
         return {"leaf": int(2 * ones > n)}
     d = xt.shape[0]
-    best = _best_split(xt, y, idx, ones, stream.gen.permutation(d)[:m], spec.min_leaf)
+    best = _best_split(xt, y, idx, ones, stream.permutation(d)[:m], spec.min_leaf)
     if best is None:
         return {"leaf": int(2 * ones > n)}
     f, thr, ones_left = best
@@ -175,7 +175,7 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
-        rows = stream.gen.integers(0, x.shape[0], size=x.shape[0])
+        rows = stream.integers(0, x.shape[0], size=x.shape[0])
         # Sort each feature once per tree; nodes only partition these lists.
         idx = rows[np.argsort(xt[:, rows], axis=1, kind="stable")]
         trees.append(_grow_tree(xt, y, idx, int(y[rows].sum()), spec, m, stream, 0))
@@ -197,9 +197,9 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def init_mlp_params(dim: int, hidden: int, stream: RngStream) -> dict[str, np.ndarray]:
     """He-scaled Gaussian weights, zero biases."""
     return {
-        "W1": stream.gen.standard_normal((dim, hidden)) * math.sqrt(2.0 / dim),
+        "W1": stream.standard_normal((dim, hidden)) * math.sqrt(2.0 / dim),
         "b1": np.zeros(hidden),
-        "w2": stream.gen.standard_normal(hidden) / math.sqrt(hidden),
+        "w2": stream.standard_normal(hidden) / math.sqrt(hidden),
         "b2": np.zeros(1),
     }
 
@@ -241,7 +241,7 @@ def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
     shuffle = RngStream(spec.seed, (STREAM_OFFSETS["batch-shuffle"],))
     n = xs.shape[0]
     for _ in range(spec.epochs):
-        order = shuffle.gen.permutation(n)
+        order = shuffle.permutation(n)
         for start in range(0, n, spec.batch_size):
             batch = order[start:start + spec.batch_size]
             _, grads = mlp_loss_and_grads(params, xs[batch], yf[batch])

@@ -97,13 +97,13 @@ def gen_conditional_gaussian(config: ScenarioConfig) -> Dataset:
             if n == 0:
                 continue
             mean = B[y] + C[z]
-            xs.append(mean + stream.gen.standard_normal((n, config.shifts.dim)))
+            xs.append(mean + stream.standard_normal((n, config.shifts.dim)))
             ys.append(np.full(n, y, dtype=np.int64))
             zs.append(np.full(n, z, dtype=np.int64))
     x = np.concatenate(xs)
     y_all = np.concatenate(ys)
     z_all = np.concatenate(zs)
-    order = stream.gen.permutation(len(y_all))
+    order = stream.permutation(len(y_all))
     return Dataset(x[order], y_all[order], z_all[order])
 
 

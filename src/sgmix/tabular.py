@@ -104,8 +104,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' comments; dotted prefixes group keys."""
+    """Flat `key = value` lines; '#' comments; dotted prefixes group keys; no repeats."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,6 +117,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ValueError(f"config line {line_no}: empty key")
+        if key in line_of:
+            raise ValueError(
+                f"config line {line_no}: key {key!r} is already set on line {line_of[key]}")
+        line_of[key] = line_no
         out[key] = value.strip()
     return out
 

@@ -13,9 +13,9 @@ STANDIN_FEATURES = (
 def random_dataset(seed: int, t: int = 40, d: int = 3, ensure_all_subgroups: bool = True) -> Dataset:
     """Random dataset for property tests; by default every (y, z) cell is hit."""
     stream = RngStream(seed)
-    x = stream.gen.standard_normal((t, d))
-    y = stream.gen.integers(0, 2, size=t)
-    z = stream.gen.integers(0, 2, size=t)
+    x = stream.standard_normal((t, d))
+    y = stream.integers(0, 2, size=t)
+    z = stream.integers(0, 2, size=t)
     if ensure_all_subgroups and t >= 4:
         y[:4] = (0, 0, 1, 1)
         z[:4] = (0, 1, 0, 1)

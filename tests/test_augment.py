@@ -16,7 +16,7 @@ from sgmix import (
 )
 from sgmix.augment import bootstrap, make_pair, vanilla_mixup
 from sgmix.data import SubgroupKey, subgroup_indices
-from sgmix.rng import RngStream, beta_sample, uniform_index
+from sgmix.rng import RngStream, beta_sample
 
 from conftest import random_dataset
 
@@ -283,7 +283,7 @@ def oracle_fsgm(dataset, config):
     batches = 0
     while len(xs) < config.new_count:
         pair = config.pairs[batches % len(config.pairs)]
-        i = uniform_index(stream, sources[pair])
+        i = sources[pair][stream.integers(sources[pair].size)]
         neighbors = _oracle_knn(
             dataset, dataset.x[i], pair.target, config.k, i, config.standardize
         )
@@ -303,11 +303,11 @@ def oracle_vanilla(dataset, new_count, alpha, seed):
     """Cross-class mixup one row at a time: the same draws, per-row mix calls."""
     by_class = {c: np.nonzero(dataset.y == c)[0] for c in (0, 1)}
     stream = RngStream(seed)
-    everyone = np.arange(len(dataset))
     xs, ys, zs = [], [], []
     for _ in range(new_count):
-        i = uniform_index(stream, everyone)
-        j = uniform_index(stream, by_class[1 - int(dataset.y[i])])
+        i = stream.integers(len(dataset))
+        partners = by_class[1 - int(dataset.y[i])]
+        j = partners[stream.integers(partners.size)]
         lam = beta_sample(stream, alpha)
         xs.append(mix_features(dataset.x[i], dataset.x[j], lam))
         ys.append(mix_label(int(dataset.y[i]), int(dataset.y[j]), lam))

@@ -202,6 +202,7 @@ BAD_VALUES = [
     ("scenario.t11 = -1", "scenario", "counts"),
     ("experiment.alpha_grid = -1", "scenario", "alpha_grid"),
     ("experiment.alpha_grid = 0.5,nan", "scenario", "alpha_grid"),
+    ("experiment.alpha_grid = 0.5,0.5,1", "scenario", "alpha_grid must not repeat"),
     ("fsgm.alpha = nan", "scenario", "fixed_alpha"),
     ("fsgm.k = 0", "scenario", "k must be"),
     ("forest.n_trees = abc", "scenario", "forest.n_trees"),
@@ -237,6 +238,32 @@ def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, nam
     assert err.startswith("error: ") and name in err, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["experiment.out", "output.dump_augmented"])
+def test_cli_rejects_missing_output_directory_before_the_run(tmp_path, capsys, monkeypatch,
+                                                             key):
+    def must_not_run(config):
+        raise AssertionError("run_experiment called despite a missing output directory")
+
+    monkeypatch.setattr("sgmix.cli.run_experiment", must_not_run)
+    paths = {"experiment.out": tmp_path / "r.csv", "output.dump_augmented": tmp_path / "aug.csv"}
+    paths[key] = tmp_path / "missing" / paths[key].name
+    code = main(["--scenario", "unbalanced-groups", "--out", str(paths["experiment.out"]),
+                 "--dump-augmented", str(paths["output.dump_augmented"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key}: ") and "missing" in err and err.count("\n") == 1, err
+
+
+def test_cli_rejects_key_repeated_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment.seed = 1\nexperiment.seed = 2\n")
+    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups",
+                 "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: config line 2: key 'experiment.seed' is already set on line 1\n", err
 
 
 @pytest.mark.parametrize("key", ["scenario.t00", "scenario.dim"])

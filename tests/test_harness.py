@@ -339,6 +339,17 @@ def test_run_experiment_dumps_augmented_training_sets(tmp_path):
         assert tags == {"original", tag}
 
 
+def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path):
+    config = small_config(dump_augmented=str(tmp_path / "missing" / "aug.csv"))
+    table = run_experiment(config)
+    cells = [(r.method, r.model, r.replicate) for r in table.rows]
+    failed = [(e.method, e.model, e.replicate) for e in table.errors]
+    # replicate 0 of the first model is dumped, so only those cells fail
+    assert failed == [("fsgm", "forest", 0), ("original", "forest", 0)]
+    assert cells == [("fsgm", "forest", 1), ("original", "forest", 1)]
+    assert all(e.exc_type == "FileNotFoundError" for e in table.errors)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentConfig(scenario=None, csv_path=None)

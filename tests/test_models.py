@@ -114,7 +114,7 @@ def _ref_grow_tree(x, y, rows, spec, m, stream, depth, no_split):
     labels = y[rows]
     if depth >= spec.max_depth or rows.size < 2 * spec.min_leaf or labels.min() == labels.max():
         return {"leaf": _ref_majority(labels)}
-    features = stream.gen.permutation(x.shape[1])[:m]
+    features = stream.permutation(x.shape[1])[:m]
     best = _ref_best_split(x, y, rows, features, spec.min_leaf)
     if best is None:
         no_split.append(rows.size)
@@ -136,7 +136,7 @@ def reference_forest(x, y, spec, no_split):
     trees = []
     for t in range(spec.n_trees):
         stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
-        rows = stream.gen.integers(0, x.shape[0], size=x.shape[0])
+        rows = stream.integers(0, x.shape[0], size=x.shape[0])
         trees.append(_ref_grow_tree(x, y, rows, spec, m, stream, 0, no_split))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 

@@ -193,6 +193,13 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config_text(" = 3\n")
 
 
+def test_parse_config_rejects_a_repeated_key():
+    text = "experiment.seed = 1\n# again\nmlp.epochs = 2\n experiment.seed=3\n"
+    with pytest.raises(ValueError,
+                       match=r"config line 4: key 'experiment.seed' is already set on line 1"):
+        parse_config_text(text)
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("experiment.seed = 9\nmlp.epochs = 4\n")
