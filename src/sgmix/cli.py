@@ -196,6 +196,8 @@ def main(argv=None) -> int:
                           ("output.dump_augmented", config.dump_augmented)):
             if path and not Path(path).parent.is_dir():
                 raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
+        if Path(out).is_dir():
+            raise ValueError(f"experiment.out: {str(Path(out))!r} is a directory, not a file")
         table = run_experiment(config)
         emit_results(table, out)
     except (ValueError, OSError, MemoryError) as exc:

@@ -24,7 +24,7 @@ from .augment import (
 )
 from .data import ALL_SUBGROUPS, Dataset, concat, subgroup_indices
 from .metrics import EvalResult, evaluate
-from .models import ForestSpec, MlpSpec, TrainedModel, train_forest, train_mlp
+from .models import ForestSpec, MlpSpec, TrainedModel, train_forest, train_mlp, train_mlps
 from .rng import STREAM_OFFSETS, RngStream, derive_seed
 from .synth import (
     SCENARIO_NAMES,
@@ -214,24 +214,22 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     return train, test
 
 
+def _model_spec(model_kind: str, config: ExperimentConfig, seed: int):
+    specs = {"forest": config.forest, "mlp": config.mlp}
+    if model_kind not in specs:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    return dataclasses.replace(specs[model_kind],
+                               seed=derive_seed(seed, STREAM_OFFSETS["model-init"]))
+
+
 def _train_model(data: Dataset, model_kind: str, config: ExperimentConfig, seed: int):
-    model_seed = derive_seed(seed, STREAM_OFFSETS["model-init"])
-    if model_kind == "forest":
-        return train_forest(data.x, data.y, dataclasses.replace(config.forest, seed=model_seed))
-    if model_kind == "mlp":
-        return train_mlp(data.x, data.y, dataclasses.replace(config.mlp, seed=model_seed))
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    train = train_forest if model_kind == "forest" else train_mlp
+    return train(data.x, data.y, _model_spec(model_kind, config, seed))
 
 
-def run_method(
-    train: Dataset,
-    method: str,
-    model_kind: str,
-    config: ExperimentConfig,
-    seed: int,
-    alpha: float | None = None,
-) -> MethodRun:
-    """Augment to exactly 2T rows, then fit the requested model."""
+def _augment(train: Dataset, method: str, config: ExperimentConfig, seed: int,
+             alpha: float | None) -> tuple[Dataset, tuple[str, ...]]:
+    """Grow train to exactly 2T rows; return them with a per-row origin tag."""
     t = len(train)
     aug_seed = derive_seed(seed, STREAM_OFFSETS["augmentation"])
     mix_alpha = FsgmConfig.alpha if alpha is None else alpha
@@ -266,6 +264,19 @@ def run_method(
         raise RuntimeError(
             f"budget parity violated: method {method} produced {len(data)} rows, expected {2 * t}"
         )
+    return data, origins
+
+
+def run_method(
+    train: Dataset,
+    method: str,
+    model_kind: str,
+    config: ExperimentConfig,
+    seed: int,
+    alpha: float | None = None,
+) -> MethodRun:
+    """Augment to exactly 2T rows, then fit the requested model."""
+    data, origins = _augment(train, method, config, seed, alpha)
     model = _train_model(data, model_kind, config, seed)
     return MethodRun(method=method, alpha=alpha, model=model, train_data=data, origins=origins)
 
@@ -282,6 +293,9 @@ def alpha_search(
     Each alpha is scored on an internal stratified split of the training
     data, so no test information leaks into the choice. All alphas share the
     same split and the same downstream seeds; ties go to the smaller alpha.
+    Because the seeds are shared, the grid's MLPs train together in one
+    stacked loop; forests train and are scored one at a time, so only one
+    is held in memory.
     """
     if not config.alpha_grid:
         raise ValueError("alpha grid is empty")
@@ -290,11 +304,17 @@ def alpha_search(
         derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
     )
     inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
+    alphas = sorted(config.alpha_grid)
+    grid = [_augment(inner_train, method, config, inner_seed, alpha)[0] for alpha in alphas]
+    if model_kind == "mlp":
+        models = train_mlps([data.x for data in grid], [data.y for data in grid],
+                            _model_spec(model_kind, config, inner_seed))
+    else:
+        models = (_train_model(data, model_kind, config, inner_seed) for data in grid)
     scores: dict[float, float] = {}
     best_alpha, best_score = None, -np.inf
-    for alpha in sorted(config.alpha_grid):
-        run = run_method(inner_train, method, model_kind, config, inner_seed, alpha=alpha)
-        result = evaluate(run.model, inner_val)
+    for alpha, model in zip(alphas, models):
+        result = evaluate(model, inner_val)
         score = result.accuracy + result.fairness
         scores[alpha] = score
         if score > best_score:
@@ -352,7 +372,14 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     ]
     for r in range(config.replicates):
         rep_seed = derive_seed(config.seed, r)
-        train, test = _replicate_data(config, full, rep_seed)
+        try:
+            train, test = _replicate_data(config, full, rep_seed)
+        except MemoryError:
+            raise  # a size no replicate can allocate is a config error
+        except Exception as exc:  # noqa: BLE001 - every cell of the replicate fails alone
+            table.errors += [CellError(method, model_kind, r, str(exc), type(exc).__name__)
+                             for method in config.methods for model_kind in config.models]
+            continue
         for mi, method in enumerate(config.methods):
             for ki, model_kind in enumerate(config.models):
                 cell_seed = derive_seed(rep_seed, 100 + mi, ki)

@@ -204,52 +204,81 @@ def init_mlp_params(dim: int, hidden: int, stream: RngStream) -> dict[str, np.nd
     }
 
 
+def _mlp_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray):
+    """Output logits and mean cross-entropy gradients for every weight.
+
+    Works on one model (xb of shape (B, d)) or a stack of models (every
+    array with a leading model axis, xb of shape (A, B, d)); each stacked
+    slice gets the same products and element-wise steps as a single model.
+    """
+    a = xb @ params["W1"] + params["b1"][..., None, :]
+    h = np.maximum(a, 0.0)
+    s = (h @ params["w2"][..., None])[..., 0] + params["b2"]
+    coef = (_sigmoid(s) - yb) / xb.shape[-2]
+    da = (coef[..., None] * params["w2"][..., None, :]) * (a > 0)
+    grads = {
+        "W1": xb.swapaxes(-1, -2) @ da,
+        "b1": da.sum(axis=-2),
+        "w2": (h.swapaxes(-1, -2) @ coef[..., None])[..., 0],
+        "b2": coef.sum(axis=-1, keepdims=True),
+    }
+    return s, grads
+
+
 def mlp_loss_and_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray):
     """Mean binary cross-entropy on logits, plus gradients for every weight.
 
     The loss is written as softplus(s) - y*s, which is exact and avoids
     overflow for large |s|.
     """
-    a = xb @ params["W1"] + params["b1"]
-    h = np.maximum(a, 0.0)
-    s = h @ params["w2"] + params["b2"][0]
-    loss = float(np.mean(np.logaddexp(0.0, s) - yb * s))
-    coef = (_sigmoid(s) - yb) / xb.shape[0]
-    da = (coef[:, None] * params["w2"][None, :]) * (a > 0)
-    grads = {
-        "W1": xb.T @ da,
-        "b1": da.sum(axis=0),
-        "w2": h.T @ coef,
-        "b2": np.array([coef.sum()]),
-    }
-    return loss, grads
+    s, grads = _mlp_grads(params, xb, yb)
+    return float(np.mean(np.logaddexp(0.0, s) - yb * s)), grads
 
 
-def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
-    """Mini-batch SGD on one rectified hidden layer with a sigmoid output.
+def train_mlps(xs, ys, spec: MlpSpec = MlpSpec()) -> list[TrainedModel]:
+    """Train one MLP per (x, y) dataset in a single stacked SGD loop.
 
-    Inputs are z-scored with training-set statistics; the same transform is
-    stored on the model and applied at predict time.
+    Mini-batch SGD on one rectified hidden layer with a sigmoid output.
+    Each dataset's inputs are z-scored with its own training statistics;
+    the same transform is stored on its model and applied at predict time.
+    The datasets must share one shape. All models start from the same
+    weights and visit rows in the same shuffled order, so each comes out
+    exactly as if it were trained alone.
     """
-    x, y = _check_xy(x, y)
-    mean, std = feature_standardizer(x)
-    xs = (x - mean) / std
-    yf = y.astype(np.float64)
+    data = [_check_xy(x, y) for x, y in zip(xs, ys, strict=True)]
+    if not data:
+        raise ValueError("no datasets to train on")
+    shapes = sorted({x.shape for x, _ in data})
+    if len(shapes) > 1:
+        raise ValueError(f"datasets must share one shape, got {shapes}")
+    n, d = shapes[0]
+    scalers = [feature_standardizer(x) for x, _ in data]
+    xz = np.stack([(x - mean) / std for (x, _), (mean, std) in zip(data, scalers)])
+    yf = np.stack([y for _, y in data]).astype(np.float64)
 
-    params = init_mlp_params(x.shape[1], spec.hidden_units,
-                             RngStream(spec.seed, (STREAM_OFFSETS["model-init"],)))
+    init = init_mlp_params(d, spec.hidden_units,
+                           RngStream(spec.seed, (STREAM_OFFSETS["model-init"],)))
+    params = {key: np.repeat(value[None], len(data), axis=0) for key, value in init.items()}
     shuffle = RngStream(spec.seed, (STREAM_OFFSETS["batch-shuffle"],))
-    n = xs.shape[0]
     for _ in range(spec.epochs):
         order = shuffle.permutation(n)
         for start in range(0, n, spec.batch_size):
             batch = order[start:start + spec.batch_size]
-            _, grads = mlp_loss_and_grads(params, xs[batch], yf[batch])
-            for key in params:
-                params[key] = params[key] - spec.learning_rate * grads[key]
-    params["mean"] = mean
-    params["std"] = std
-    return TrainedModel(kind="mlp", dim=x.shape[1], params=params)
+            _, grads = _mlp_grads(params, xz[:, batch], yf[:, batch])
+            for key, grad in grads.items():
+                params[key] -= spec.learning_rate * grad
+    return [
+        TrainedModel(kind="mlp", dim=d, params={
+            **{key: value[i].copy() for key, value in params.items()},
+            "mean": mean, "std": std,
+        })
+        for i, (mean, std) in enumerate(scalers)
+    ]
+
+
+def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
+    """Fit one MLP; the one-dataset case of `train_mlps`."""
+    return train_mlps([x], [y], spec)[0]
 
 
 # ---------------------------------------------------------------- shared

@@ -256,6 +256,20 @@ def test_cli_rejects_missing_output_directory_before_the_run(tmp_path, capsys, m
     assert err.startswith(f"error: {key}: ") and "missing" in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("out", ["", ".", "results"])
+def test_cli_rejects_directory_as_out_before_the_run(tmp_path, capsys, monkeypatch, out):
+    def must_not_run(config):
+        raise AssertionError("run_experiment called despite a directory as output")
+
+    monkeypatch.setattr("sgmix.cli.run_experiment", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    code = main(["--scenario", "unbalanced-groups", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: experiment.out: {out or '.'!r} is a directory, not a file\n", err
+
+
 def test_cli_rejects_key_repeated_in_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment.seed = 1\nexperiment.seed = 2\n")

@@ -16,6 +16,7 @@ from sgmix import (
     run_method,
     subgroup_counts,
 )
+from sgmix import harness
 from sgmix.augment import check_pairs
 from sgmix.harness import (
     DEFAULT_ALPHA_GRID,
@@ -211,11 +212,21 @@ def test_alpha_search_tie_breaks_to_smallest():
     assert best == 0.5
 
 
-def test_alpha_search_matches_independent_recomputation():
+@pytest.mark.parametrize("model_kind", ["forest", "mlp"])
+def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch):
     train = random_dataset(12, t=80, d=3)
-    config = small_config(alpha_grid=(0.5, 2.0), fixed_alpha=None, pairs=BOTH_WAY_PAIRS)
+    config = small_config(alpha_grid=(4.0, 0.5, 2.0), fixed_alpha=None, pairs=BOTH_WAY_PAIRS,
+                          mlp=MlpSpec(hidden_units=8, epochs=3, seed=0))
     seed = 13
-    best, scores = alpha_search(train, "fsgm", "forest", config, seed=seed)
+    scored = []
+
+    def recording_evaluate(model, data):
+        scored.append(model)
+        return evaluate(model, data)
+
+    monkeypatch.setattr("sgmix.harness.evaluate", recording_evaluate)
+    best, scores = alpha_search(train, "fsgm", model_kind, config, seed=seed)
+    monkeypatch.undo()
 
     inner_train, inner_val = train_test_split(
         train, config.validation_fraction,
@@ -223,8 +234,13 @@ def test_alpha_search_matches_independent_recomputation():
     )
     inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
     recomputed = {}
-    for alpha in (0.5, 2.0):
-        run = run_method(inner_train, "fsgm", "forest", config, inner_seed, alpha=alpha)
+    for alpha, model in zip((0.5, 2.0, 4.0), scored, strict=True):
+        run = run_method(inner_train, "fsgm", model_kind, config, inner_seed, alpha=alpha)
+        # The per-alpha fits are the oracle for the search's own (stacked) fits.
+        assert list(model.params) == list(run.model.params)
+        for key, value in run.model.params.items():
+            assert (model.params[key] == value if model_kind == "forest"
+                    else np.array_equal(model.params[key], value)), (alpha, key)
         result = evaluate(run.model, inner_val)
         recomputed[alpha] = result.accuracy + result.fairness
     assert scores == recomputed
@@ -267,6 +283,25 @@ def test_run_experiment_isolates_cell_failures():
     assert all(e.method == "fsgm" for e in table.errors)
     assert "insufficient target subgroup" in table.errors[0].message
     assert all(e.exc_type == "ValueError" for e in table.errors)
+
+
+def test_run_experiment_isolates_replicate_data_failures(monkeypatch):
+    clean = run_experiment(small_config(replicates=3))
+    calls = []
+    generate = harness.gen_conditional_gaussian
+
+    def fail_on_third_call(config):
+        calls.append(config)
+        if len(calls) == 3:  # replicate 1's training set
+            raise RuntimeError("generator broke")
+        return generate(config)
+
+    monkeypatch.setattr(harness, "gen_conditional_gaussian", fail_on_third_call)
+    table = run_experiment(small_config(replicates=3))
+    assert table.rows == [row for row in clean.rows if row.replicate != 1]
+    assert table.errors == [harness.CellError(method, "forest", 1, "generator broke",
+                                              "RuntimeError")
+                            for method in ("fsgm", "original")]
 
 
 def test_run_experiment_grid_search_fills_alpha():

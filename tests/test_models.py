@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sgmix import ForestSpec, MlpSpec, predict, train_forest, train_mlp
-from sgmix.models import TrainedModel, init_mlp_params, mlp_loss_and_grads
+from sgmix.data import feature_standardizer
+from sgmix.models import TrainedModel, init_mlp_params, mlp_loss_and_grads, train_mlps
 from sgmix.rng import STREAM_OFFSETS, RngStream
 
 
@@ -257,6 +258,72 @@ def test_mlp_gradients_match_finite_differences():
             analytic = np.asarray(grads[key]).reshape(-1)
             denom = max(np.linalg.norm(numeric), 1e-8)
             assert np.linalg.norm(analytic - numeric) / denom < 1e-4
+
+
+def _ref_sigmoid(s):
+    out = np.empty_like(s)
+    pos = s >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+    e = np.exp(s[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _ref_grads(params, xb, yb):
+    a = xb @ params["W1"] + params["b1"]
+    h = np.maximum(a, 0.0)
+    s = h @ params["w2"] + params["b2"][0]
+    coef = (_ref_sigmoid(s) - yb) / xb.shape[0]
+    da = (coef[:, None] * params["w2"][None, :]) * (a > 0)
+    return {"W1": xb.T @ da, "b1": da.sum(axis=0), "w2": h.T @ coef,
+            "b2": np.array([coef.sum()])}
+
+
+def reference_mlp(x, y, spec):
+    """One model at a time on 2-D batches, with copy-on-update weights."""
+    mean, std = feature_standardizer(x)
+    xs = (x - mean) / std
+    yf = y.astype(np.float64)
+    params = init_mlp_params(x.shape[1], spec.hidden_units,
+                             RngStream(spec.seed, (STREAM_OFFSETS["model-init"],)))
+    shuffle = RngStream(spec.seed, (STREAM_OFFSETS["batch-shuffle"],))
+    n = xs.shape[0]
+    for _ in range(spec.epochs):
+        order = shuffle.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            batch = order[start:start + spec.batch_size]
+            grads = _ref_grads(params, xs[batch], yf[batch])
+            for key in params:
+                params[key] = params[key] - spec.learning_rate * grads[key]
+    return {**params, "mean": mean, "std": std}
+
+
+def assert_same_params(got, expected):
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert got[key].shape == value.shape and got[key].dtype == value.dtype, key
+        assert np.array_equal(got[key], value), key
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stacked_mlps_match_one_at_a_time_reference(count):
+    spec = MlpSpec(hidden_units=7, epochs=4, batch_size=16, seed=21)
+    data = [separated_data(30 + i, n=101, d=4, margin=0.5 + i) for i in range(count)]
+    data = [(x * (i + 1) + i, y) for i, (x, y) in enumerate(data)]
+    models = train_mlps([x for x, _ in data], [y for _, y in data], spec)
+    assert len(models) == count
+    for model, (x, y) in zip(models, data):
+        assert model.kind == "mlp" and model.dim == 4
+        assert_same_params(model.params, reference_mlp(x, y, spec))
+    assert_same_params(train_mlp(*data[0], spec).params, models[0].params)
+
+
+def test_stacked_mlps_reject_mismatched_or_missing_datasets():
+    (xa, ya), (xb, yb) = separated_data(40, n=30), separated_data(41, n=31)
+    with pytest.raises(ValueError, match="share one shape"):
+        train_mlps([xa, xb], [ya, yb], MlpSpec(epochs=1))
+    with pytest.raises(ValueError, match="no datasets"):
+        train_mlps([], [], MlpSpec(epochs=1))
 
 
 # ---------------------------------------------------------------- predict
