@@ -4,6 +4,14 @@ Every replicate generates (or splits off) its own train/test data; all
 methods within a replicate share that data. Augmentation methods train on the
 original rows plus an equal number of new rows; the plain baseline trains on
 a bootstrap of the same total size, so every model sees exactly 2T rows.
+
+A replicate runs in two phases. The search phase augments the alpha grid of
+every cell that searches one, fits all of those grid sets and picks each
+cell's alpha. The final phase augments every cell's 2T training set, fits
+all of them and scores each model on the test set. In both phases the MLPs
+of every cell train together in one stacked SGD loop, and forests train one
+at a time. Every fit derives its own seeds, so a model comes out the same as
+when its cell runs alone (`run_method`).
 """
 from __future__ import annotations
 
@@ -24,7 +32,15 @@ from .augment import (
 )
 from .data import ALL_SUBGROUPS, Dataset, concat, subgroup_indices
 from .metrics import EvalResult, evaluate
-from .models import ForestSpec, MlpSpec, TrainedModel, train_forest, train_mlp, train_mlps
+from .models import (
+    ForestSpec,
+    MlpSpec,
+    TrainedModel,
+    check_int64,
+    train_forest,
+    train_mlp,
+    train_mlps,
+)
 from .rng import STREAM_OFFSETS, RngStream, derive_seed
 from .synth import (
     SCENARIO_NAMES,
@@ -102,6 +118,7 @@ class ExperimentConfig:
         for name in ("methods", "models", "alpha_grid"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
+        check_int64(self, "replicates", "k")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
@@ -281,45 +298,86 @@ def run_method(
     return MethodRun(method=method, alpha=alpha, model=model, train_data=data, origins=origins)
 
 
-def alpha_search(
-    train: Dataset,
-    method: str,
-    model_kind: str,
-    config: ExperimentConfig,
-    seed: int,
-):
-    """Pick the grid alpha with the best validation accuracy + fairness.
+def _fit_each(jobs, config: ExperimentConfig, failures: dict, use) -> None:
+    """Fit one model per (cell, data, seed, extra) job and hand it to use(job, model).
 
-    Each alpha is scored on an internal stratified split of the training
-    data, so no test information leaks into the choice. All alphas share the
-    same split and the same downstream seeds; ties go to the smaller alpha.
-    Because the seeds are shared, the grid's MLPs train together in one
-    stacked loop; forests train and are scored one at a time, so only one
-    is held in memory.
+    A cell is a (method, model_kind, seed) triple. The MLP jobs train
+    together in one stacked SGD loop; forests train one at a time and each
+    is dropped after use, so forests never pile up in memory. A fit or use
+    that raises fails the job's cell: the exception goes into failures and
+    the cell's later jobs are skipped. A stacked fit that raises fails every
+    cell in it.
+    """
+    mlp = [i for i, job in enumerate(jobs) if job[0][1] == "mlp"]
+    stacked = {}
+    if mlp:
+        try:
+            stacked = dict(zip(mlp, train_mlps(
+                [jobs[i][1].x for i in mlp], [jobs[i][1].y for i in mlp],
+                [_model_spec("mlp", config, jobs[i][2]) for i in mlp])))
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failures.update((jobs[i][0], exc) for i in mlp)
+    for i, job in enumerate(jobs):
+        cell, data, seed, _ = job
+        if cell in failures:
+            continue
+        try:
+            model = stacked[i] if i in stacked else _train_model(data, cell[1], config, seed)
+            use(job, model)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failures[cell] = exc
+
+
+def alpha_search(train: Dataset, cells, config: ExperimentConfig):
+    """Pick the grid alpha with the best validation accuracy + fairness, per cell.
+
+    cells lists (method, model_kind, seed) triples. Each cell scores every
+    alpha on an internal stratified split of the training data drawn from its
+    seed, so no test information leaks into the choice. A cell's alphas share
+    that split and the same downstream seeds; ties go to the smaller alpha.
+    Every cell's grid sets are augmented first, then fitted by one
+    `_fit_each` call: the MLPs of all cells in one stacked loop, forests one
+    at a time.
+
+    Returns (found, failures): found maps every cell that succeeded to its
+    (best alpha, {alpha: score}), failures maps every other cell to the
+    exception that failed it.
     """
     if not config.alpha_grid:
         raise ValueError("alpha grid is empty")
-    inner_train, inner_val = train_test_split(
-        train, config.validation_fraction,
-        derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
-    )
-    inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
     alphas = sorted(config.alpha_grid)
-    grid = [_augment(inner_train, method, config, inner_seed, alpha)[0] for alpha in alphas]
-    if model_kind == "mlp":
-        models = train_mlps([data.x for data in grid], [data.y for data in grid],
-                            _model_spec(model_kind, config, inner_seed))
-    else:
-        models = (_train_model(data, model_kind, config, inner_seed) for data in grid)
-    scores: dict[float, float] = {}
-    best_alpha, best_score = None, -np.inf
-    for alpha, model in zip(alphas, models):
-        result = evaluate(model, inner_val)
-        score = result.accuracy + result.fairness
-        scores[alpha] = score
-        if score > best_score:
-            best_alpha, best_score = alpha, score
-    return best_alpha, scores
+    failures: dict = {}
+    inner_val, jobs = {}, []
+    for cell in cells:
+        method, _, seed = cell
+        inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
+        try:
+            inner_train, inner_val[cell] = train_test_split(
+                train, config.validation_fraction,
+                derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
+            )
+            jobs += [(cell, _augment(inner_train, method, config, inner_seed, alpha)[0],
+                      inner_seed, alpha) for alpha in alphas]
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failures[cell] = exc
+    scores: dict = {cell: {} for cell in cells}
+
+    def score(job, model):
+        cell, _, _, alpha = job
+        result = evaluate(model, inner_val[cell])
+        scores[cell][alpha] = result.accuracy + result.fairness
+
+    _fit_each(jobs, config, failures, score)
+    found = {}
+    for cell in cells:
+        if cell in failures:
+            continue
+        best_alpha, best_score = None, -np.inf
+        for alpha in alphas:
+            if scores[cell][alpha] > best_score:
+                best_alpha, best_score = alpha, scores[cell][alpha]
+        found[cell] = (best_alpha, scores[cell])
+    return found, failures
 
 
 def _dump_path(base: str, method: str) -> str:
@@ -342,8 +400,64 @@ def _replicate_data(config: ExperimentConfig, full: Dataset | None, rep_seed: in
     return train_test_split(full, config.test_fraction, rep_seed)
 
 
+def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_seed: int,
+                   train: Dataset, test: Dataset) -> None:
+    """Run every cell of replicate r in two phases and add its rows and errors to table.
+
+    A cell that fails in either phase drops out before the next fit and
+    becomes one error row; the other cells' rows do not change.
+    """
+    cells = [(method, model_kind, derive_seed(rep_seed, 100 + mi, ki))
+             for mi, method in enumerate(config.methods)
+             for ki, model_kind in enumerate(config.models)]
+    mixing = [cell for cell in cells if cell[0] in ALPHA_METHODS]
+    alphas: dict = dict.fromkeys(mixing, config.fixed_alpha)
+    failures: dict = {}
+    if mixing and config.fixed_alpha is None:
+        found, failures = alpha_search(train, mixing, config)
+        alphas = {cell: alpha for cell, (alpha, _) in found.items()}
+
+    jobs = []
+    for cell in cells:
+        if cell in failures:
+            continue
+        method, _, seed = cell
+        try:
+            data, origins = _augment(train, method, config, seed, alphas.get(cell))
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            failures[cell] = exc
+            continue
+        jobs.append((cell, data, seed, origins))
+
+    def record(job, model):
+        cell, data, _, origins = job
+        method, model_kind, _ = cell
+        result: EvalResult = evaluate(model, test)
+        # Dump first: a failed dump must leave an error row, not a row too.
+        if config.dump_augmented and r == 0 and model_kind == config.models[0]:
+            dump_augmented_csv(_dump_path(config.dump_augmented, method), data, origins)
+        table.rows.append(ResultRow(
+            method=method,
+            model=model_kind,
+            replicate=r,
+            alpha=alphas.get(cell),
+            accuracy=result.accuracy,
+            dp_gap_signed=result.dp_gap_signed,
+            fairness=result.fairness,
+            train_size=len(data),
+            seed=rep_seed,
+        ))
+
+    _fit_each(jobs, config, failures, record)
+    table.errors += [CellError(method, model_kind, r, str(exc), type(exc).__name__)
+                     for (method, model_kind, _), exc in failures.items()]
+
+
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Run every (method, model, replicate) cell; failures become error rows."""
+    """Run every (method, model, replicate) cell; failures become error rows.
+
+    Each replicate runs the two phases described in the module docstring.
+    """
     full = None
     if config.csv_path is not None:
         full = load_csv(config.csv_path, config.csv_schema)
@@ -380,38 +494,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             table.errors += [CellError(method, model_kind, r, str(exc), type(exc).__name__)
                              for method in config.methods for model_kind in config.models]
             continue
-        for mi, method in enumerate(config.methods):
-            for ki, model_kind in enumerate(config.models):
-                cell_seed = derive_seed(rep_seed, 100 + mi, ki)
-                try:
-                    alpha = None
-                    if method in ALPHA_METHODS:
-                        if config.fixed_alpha is not None:
-                            alpha = config.fixed_alpha
-                        else:
-                            alpha, _ = alpha_search(train, method, model_kind, config, cell_seed)
-                    run = run_method(train, method, model_kind, config, cell_seed, alpha=alpha)
-                    result: EvalResult = evaluate(run.model, test)
-                    # Dump first: a failed dump must leave an error row, not a row too.
-                    if config.dump_augmented and r == 0 and ki == 0:
-                        dump_augmented_csv(
-                            _dump_path(config.dump_augmented, method),
-                            run.train_data, run.origins,
-                        )
-                    table.rows.append(ResultRow(
-                        method=method,
-                        model=model_kind,
-                        replicate=r,
-                        alpha=alpha,
-                        accuracy=result.accuracy,
-                        dp_gap_signed=result.dp_gap_signed,
-                        fairness=result.fairness,
-                        train_size=len(run.train_data),
-                        seed=rep_seed,
-                    ))
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    table.errors.append(
-                        CellError(method, model_kind, r, str(exc), type(exc).__name__))
+        _run_replicate(table, config, r, rep_seed, train, test)
     table.rows.sort(key=lambda row: (row.method, row.model, row.replicate))
     table.errors.sort(key=lambda err: (err.method, err.model, err.replicate))
     return table

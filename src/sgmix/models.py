@@ -7,6 +7,7 @@ shuffle draws from a stream derived up front from that seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -15,6 +16,17 @@ import numpy as np
 
 from .data import feature_standardizer
 from .rng import STREAM_OFFSETS, RngStream
+
+
+def check_int64(owner, *names: str) -> None:
+    """Reject any of owner's named integer fields that does not fit in int64.
+
+    A size past int64 cannot describe a run that ends, so it is a config error.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not -2**63 <= value < 2**63:
+            raise ValueError(f"{name} must fit in int64, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +43,7 @@ class ForestSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_int64(self, "n_trees", "max_depth", "min_leaf", "features_per_split")
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("n_trees, max_depth, and min_leaf must be positive")
         if self.features_per_split is not None and self.features_per_split < 1:
@@ -48,6 +61,7 @@ class MlpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_int64(self, "hidden_units", "epochs", "batch_size")
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -186,12 +200,10 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|s|) cannot overflow, and -|s| is exact, so each side of the
+    # where is bit for bit the usual split formula.
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def init_mlp_params(dim: int, hidden: int, stream: RngStream) -> dict[str, np.ndarray]:
@@ -235,36 +247,46 @@ def mlp_loss_and_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.nda
     return float(np.mean(np.logaddexp(0.0, s) - yb * s)), grads
 
 
-def train_mlps(xs, ys, spec: MlpSpec = MlpSpec()) -> list[TrainedModel]:
-    """Train one MLP per (x, y) dataset in a single stacked SGD loop.
+def train_mlps(xs, ys, specs) -> list[TrainedModel]:
+    """Train one MLP per (x, y, spec) in a single stacked SGD loop.
 
     Mini-batch SGD on one rectified hidden layer with a sigmoid output.
     Each dataset's inputs are z-scored with its own training statistics;
     the same transform is stored on its model and applied at predict time.
-    The datasets must share one shape. All models start from the same
-    weights and visit rows in the same shuffled order, so each comes out
-    exactly as if it were trained alone.
+    The datasets must share one shape, and the specs may differ only in
+    seed. Each model draws its initial weights and its shuffled row order
+    from its own seed, so each comes out exactly as if it were trained alone.
     """
     data = [_check_xy(x, y) for x, y in zip(xs, ys, strict=True)]
+    specs = list(specs)
+    if len(specs) != len(data):
+        raise ValueError(f"got {len(specs)} specs for {len(data)} datasets")
     if not data:
         raise ValueError("no datasets to train on")
     shapes = sorted({x.shape for x, _ in data})
     if len(shapes) > 1:
         raise ValueError(f"datasets must share one shape, got {shapes}")
+    for f in dataclasses.fields(MlpSpec):
+        values = {getattr(spec, f.name) for spec in specs}
+        if f.name != "seed" and len(values) > 1:
+            raise ValueError(
+                f"specs may differ only in seed, got {f.name} values {sorted(values)}")
+    spec = specs[0]
     n, d = shapes[0]
     scalers = [feature_standardizer(x) for x, _ in data]
     xz = np.stack([(x - mean) / std for (x, _), (mean, std) in zip(data, scalers)])
     yf = np.stack([y for _, y in data]).astype(np.float64)
 
-    init = init_mlp_params(d, spec.hidden_units,
-                           RngStream(spec.seed, (STREAM_OFFSETS["model-init"],)))
-    params = {key: np.repeat(value[None], len(data), axis=0) for key, value in init.items()}
-    shuffle = RngStream(spec.seed, (STREAM_OFFSETS["batch-shuffle"],))
+    inits = [init_mlp_params(d, spec.hidden_units,
+                             RngStream(s.seed, (STREAM_OFFSETS["model-init"],))) for s in specs]
+    params = {key: np.stack([init[key] for init in inits]) for key in inits[0]}
+    shuffles = [RngStream(s.seed, (STREAM_OFFSETS["batch-shuffle"],)) for s in specs]
+    models = np.arange(len(data))[:, None]
     for _ in range(spec.epochs):
-        order = shuffle.permutation(n)
+        order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
         for start in range(0, n, spec.batch_size):
-            batch = order[start:start + spec.batch_size]
-            _, grads = _mlp_grads(params, xz[:, batch], yf[:, batch])
+            batch = order[:, start:start + spec.batch_size]
+            _, grads = _mlp_grads(params, xz[models, batch], yf[models, batch])
             for key, grad in grads.items():
                 params[key] -= spec.learning_rate * grad
     return [
@@ -278,7 +300,7 @@ def train_mlps(xs, ys, spec: MlpSpec = MlpSpec()) -> list[TrainedModel]:
 
 def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
     """Fit one MLP; the one-dataset case of `train_mlps`."""
-    return train_mlps([x], [y], spec)[0]
+    return train_mlps([x], [y], [spec])[0]
 
 
 # ---------------------------------------------------------------- shared

@@ -296,6 +296,33 @@ def test_cli_rejects_size_that_cannot_be_allocated(tmp_path, capsys, key):
     assert not out.exists()
 
 
+SIZING_KEYS = ["forest.n_trees", "forest.max_depth", "forest.min_leaf",
+               "forest.features_per_split", "mlp.hidden_units", "mlp.epochs", "mlp.batch_size",
+               "experiment.replicates", "fsgm.k"]
+
+
+@pytest.mark.parametrize("key", SIZING_KEYS)
+def test_sizing_integer_past_int64_is_rejected_before_the_run(tmp_path, capsys, monkeypatch,
+                                                               key):
+    # A typo this long would otherwise start a run that never ends.
+    huge = "99999999999999999999"
+    message = f"{key.split('.')[1]} must fit in int64, got {huge}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        config_from_settings({"scenario.name": "unbalanced-groups",
+                              "experiment.out": "r.csv", key: huge})
+
+    def must_not_run(config):
+        raise AssertionError("run_experiment called despite an unbounded size")
+
+    monkeypatch.setattr("sgmix.cli.run_experiment", must_not_run)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = {huge}\n")
+    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_rejects_non_finite_csv_feature(tmp_path, capsys):
     data = tmp_path / "input.csv"
     data.write_text("x1,y,z\n0.5,1,0\nnan,0,1\n")

@@ -27,6 +27,7 @@ from sgmix.harness import (
     alpha_search,
     train_test_split,
 )
+from sgmix.models import train_mlps
 from sgmix.rng import STREAM_OFFSETS, derive_seed
 from sgmix.tabular import dump_augmented_csv
 
@@ -194,7 +195,9 @@ def separable_four_subgroups(seed=0, per=10):
 def test_alpha_search_singleton_grid():
     train = random_dataset(11, t=40, d=2)
     config = small_config(alpha_grid=(0.7,), fixed_alpha=None, pairs=BOTH_WAY_PAIRS)
-    best, scores = alpha_search(train, "fsgm", "forest", config, seed=4)
+    found, failures = alpha_search(train, [("fsgm", "forest", 4)], config)
+    assert failures == {}
+    best, scores = found[("fsgm", "forest", 4)]
     assert best == 0.7
     assert set(scores) == {0.7}
 
@@ -207,7 +210,9 @@ def test_alpha_search_tie_breaks_to_smallest():
         pairs=BOTH_WAY_PAIRS,
         forest=ForestSpec(n_trees=10, min_leaf=1, seed=0),
     )
-    best, scores = alpha_search(train, "fsgm", "forest", config, seed=5)
+    found, failures = alpha_search(train, [("fsgm", "forest", 5)], config)
+    assert failures == {}
+    best, scores = found[("fsgm", "forest", 5)]
     assert len(set(scores.values())) == 1  # all alphas score identically here
     assert best == 0.5
 
@@ -225,8 +230,10 @@ def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch)
         return evaluate(model, data)
 
     monkeypatch.setattr("sgmix.harness.evaluate", recording_evaluate)
-    best, scores = alpha_search(train, "fsgm", model_kind, config, seed=seed)
+    found, failures = alpha_search(train, [("fsgm", model_kind, seed)], config)
     monkeypatch.undo()
+    assert failures == {}
+    best, scores = found[("fsgm", model_kind, seed)]
 
     inner_train, inner_val = train_test_split(
         train, config.validation_fraction,
@@ -267,6 +274,68 @@ def test_run_experiment_row_arithmetic():
         assert row.alpha == (1.0 if row.method == "fsgm" else None)
         assert 0.0 <= row.accuracy <= 1.0
         assert 0.0 <= row.fairness <= 1.0
+
+
+def per_cell_alpha(train, method, model_kind, config, seed):
+    """A one-cell search done by hand: one run_method per grid alpha, each
+    scored on the cell's inner validation split; ties go to the smaller alpha."""
+    inner_train, inner_val = train_test_split(
+        train, config.validation_fraction,
+        derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
+    )
+    inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
+    scores = {}
+    for alpha in sorted(config.alpha_grid):
+        run = run_method(inner_train, method, model_kind, config, inner_seed, alpha=alpha)
+        result = evaluate(run.model, inner_val)
+        scores[alpha] = result.accuracy + result.fairness
+    return min(a for a, s in scores.items() if s == max(scores.values()))
+
+
+def per_cell_rows(config):
+    """The result rows of running each cell alone: its own alpha search by
+    hand, then run_method and evaluate."""
+    rows = []
+    for r in range(config.replicates):
+        rep_seed = derive_seed(config.seed, r)
+        train, test = harness._replicate_data(config, None, rep_seed)
+        for mi, method in enumerate(config.methods):
+            for ki, model_kind in enumerate(config.models):
+                seed = derive_seed(rep_seed, 100 + mi, ki)
+                alpha = None
+                if method in ("fsgm", "vanilla-mixup"):
+                    alpha = per_cell_alpha(train, method, model_kind, config, seed)
+                run = run_method(train, method, model_kind, config, seed, alpha=alpha)
+                result = evaluate(run.model, test)
+                rows.append(harness.ResultRow(
+                    method, model_kind, r, alpha, result.accuracy, result.dp_gap_signed,
+                    result.fairness, len(run.train_data), rep_seed))
+    return sorted(rows, key=lambda row: (row.method, row.model, row.replicate))
+
+
+@pytest.mark.parametrize("models", [("mlp",), ("forest", "mlp")], ids=["mlp", "forest+mlp"])
+def test_run_experiment_two_phase_schedule_matches_per_cell_runs(models, monkeypatch):
+    settings = dict(methods=METHODS, models=models, fixed_alpha=None, alpha_grid=(2.0, 0.5))
+    config = small_config(**settings)
+    stacks = []
+
+    def recording_train_mlps(xs, ys, specs):
+        stacks.append(len(specs))
+        return train_mlps(xs, ys, specs)
+
+    monkeypatch.setattr("sgmix.harness.train_mlps", recording_train_mlps)
+    table = run_experiment(config)
+    monkeypatch.undo()
+    assert not table.errors
+    assert table.rows == per_cell_rows(config)
+    # Per replicate: every mixing cell's grid in one loop, then every final fit.
+    assert stacks == [2 * 2, 4] * config.replicates
+
+    failing = run_experiment(small_config(**settings, k=500))  # fsgm cannot draw
+    assert failing.rows == [row for row in table.rows if row.method != "fsgm"]
+    assert [(e.method, e.model, e.replicate, e.exc_type) for e in failing.errors] == [
+        ("fsgm", model_kind, r, "ValueError") for model_kind in models for r in (0, 1)]
+    assert all("insufficient target subgroup" in e.message for e in failing.errors)
 
 
 def test_run_experiment_deterministic():

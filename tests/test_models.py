@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 
 from sgmix import ForestSpec, MlpSpec, predict, train_forest, train_mlp
 from sgmix.data import feature_standardizer
-from sgmix.models import TrainedModel, init_mlp_params, mlp_loss_and_grads, train_mlps
+from sgmix.models import (
+    TrainedModel,
+    _sigmoid,
+    init_mlp_params,
+    mlp_loss_and_grads,
+    train_mlps,
+)
 from sgmix.rng import STREAM_OFFSETS, RngStream
 
 
@@ -305,25 +312,52 @@ def assert_same_params(got, expected):
         assert np.array_equal(got[key], value), key
 
 
-@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("shape", [(64,), (4, 32)], ids=["1d", "stacked"])
+def test_sigmoid_matches_masked_reference_bytes(shape):
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
+    s = np.random.default_rng(50).standard_normal(int(np.prod(shape))) * 40.0
+    s[:edges.size] = edges
+    s = s.reshape(shape)
+    got, expected = _sigmoid(s), _ref_sigmoid(s)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+# Seeds per stacked model: mixed, and repeated the way a cell's alpha grid
+# repeats its seed.
+STACK_SEEDS = {1: [21], 4: [21, 5, 21, 8], 10: [3, 3, 3, 9, 9, 1, 4, 3, 9, 0]}
+
+
+@pytest.mark.parametrize("count", sorted(STACK_SEEDS))
 def test_stacked_mlps_match_one_at_a_time_reference(count):
-    spec = MlpSpec(hidden_units=7, epochs=4, batch_size=16, seed=21)
+    base = MlpSpec(hidden_units=7, epochs=4, batch_size=16)
+    specs = [dataclasses.replace(base, seed=seed) for seed in STACK_SEEDS[count]]
     data = [separated_data(30 + i, n=101, d=4, margin=0.5 + i) for i in range(count)]
     data = [(x * (i + 1) + i, y) for i, (x, y) in enumerate(data)]
-    models = train_mlps([x for x, _ in data], [y for _, y in data], spec)
+    models = train_mlps([x for x, _ in data], [y for _, y in data], specs)
     assert len(models) == count
-    for model, (x, y) in zip(models, data):
+    for model, (x, y), spec in zip(models, data, specs):
         assert model.kind == "mlp" and model.dim == 4
         assert_same_params(model.params, reference_mlp(x, y, spec))
-    assert_same_params(train_mlp(*data[0], spec).params, models[0].params)
+    assert_same_params(train_mlp(*data[0], specs[0]).params, models[0].params)
 
 
 def test_stacked_mlps_reject_mismatched_or_missing_datasets():
     (xa, ya), (xb, yb) = separated_data(40, n=30), separated_data(41, n=31)
+    spec = MlpSpec(epochs=1)
     with pytest.raises(ValueError, match="share one shape"):
-        train_mlps([xa, xb], [ya, yb], MlpSpec(epochs=1))
+        train_mlps([xa, xb], [ya, yb], [spec, spec])
     with pytest.raises(ValueError, match="no datasets"):
-        train_mlps([], [], MlpSpec(epochs=1))
+        train_mlps([], [], [])
+    with pytest.raises(ValueError, match="got 1 specs for 2 datasets"):
+        train_mlps([xa, xa], [ya, ya], [spec])
+    with pytest.raises(ValueError, match="got 3 specs for 2 datasets"):
+        train_mlps([xa, xa], [ya, ya], [spec] * 3)
+    for field, value in (("hidden_units", 5), ("epochs", 2), ("learning_rate", 0.5),
+                         ("batch_size", 8)):
+        other = dataclasses.replace(spec, seed=7, **{field: value})
+        with pytest.raises(ValueError, match=f"differ only in seed, got {field} values"):
+            train_mlps([xa, xa], [ya, ya], [spec, other])
 
 
 # ---------------------------------------------------------------- predict
