@@ -86,7 +86,7 @@ SETTINGS = {
     "scenario.dim": ("shifts", "dim", int),
     **{f"scenario.t{y}{z}": ("counts", (y, z), int) for y in (0, 1) for z in (0, 1)},
     "fsgm.k": ("experiment", "k", int),
-    "fsgm.alpha": ("experiment", "fixed_alpha", float),
+    "fsgm.alpha": ("experiment", "alpha", float),
     "fsgm.pairs": ("experiment", "pairs", _parse_pairs),
     "fsgm.standardize": ("experiment", "standardize_knn", _parse_bool),
     **_spec_settings("forest", ForestSpec),
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha-grid", dest="experiment.alpha_grid",
                         help="comma list of positive reals")
     parser.add_argument("--alpha", dest="fsgm.alpha",
-                        help="fixed mixing alpha; disables the grid search")
+                        help="pin alpha: a one-value grid that replaces --alpha-grid")
     parser.add_argument("--k", dest="fsgm.k", help="neighbors per source draw")
     parser.add_argument("--test-fraction", dest="experiment.test_fraction")
     parser.add_argument("--dump-augmented", dest="output.dump_augmented",
@@ -167,6 +167,7 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
 
     fields = parts["experiment"]
     out = fields.pop("out", None)
+    alpha = fields.pop("alpha", None)
     if out is None:
         raise ValueError("an output path is required (--out or experiment.out)")
     scenario = fields.get("scenario")
@@ -184,7 +185,10 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
         fields["csv_schema"] = _schema_from(parts["csv"])
     fields["forest"] = ForestSpec(**parts["forest"])
     fields["mlp"] = MlpSpec(**parts["mlp"])
-    return ExperimentConfig(**fields), out
+    config = ExperimentConfig(**fields)
+    if alpha is not None:  # wins over experiment.alpha_grid, still checked above
+        config = dataclasses.replace(config, alpha_grid=(alpha,))
+    return config, out
 
 
 def main(argv=None) -> int:

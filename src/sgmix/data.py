@@ -26,7 +26,7 @@ class Dataset:
 
     Features live in a read-only (T, d) float64 matrix; class and group labels
     in read-only 0/1 int vectors. Augmenters never mutate a Dataset, they return
-    new ones, so instances are safe to share across workers.
+    new ones, so every cell of a replicate reads the same train and test sets.
     """
 
     __slots__ = ("_x", "_y", "_z")
@@ -103,6 +103,17 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     """Ascending dataset indices of all samples in the given subgroup."""
     key = SubgroupKey(*key)
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
+
+
+def check_int64(owner, *names: str) -> None:
+    """Reject any of owner's named integer fields that does not fit in int64.
+
+    A size past int64 cannot describe a run that ends, so it is a config error.
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not -2**63 <= value < 2**63:
+            raise ValueError(f"{name} must fit in int64, got {value}")
 
 
 def feature_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,13 +30,12 @@ from .augment import (
     group_swap_augment,
     vanilla_mixup,
 )
-from .data import ALL_SUBGROUPS, Dataset, concat, subgroup_indices
+from .data import ALL_SUBGROUPS, Dataset, check_int64, concat, subgroup_indices
 from .metrics import EvalResult, evaluate
 from .models import (
     ForestSpec,
     MlpSpec,
     TrainedModel,
-    check_int64,
     train_forest,
     train_mlp,
     train_mlps,
@@ -83,7 +82,6 @@ class ExperimentConfig:
     models: tuple[str, ...] = MODEL_KINDS
     replicates: int = 5
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
-    fixed_alpha: float | None = None
     seed: int = 0
     test_fraction: float = 0.3
     validation_fraction: float = 0.25
@@ -126,13 +124,10 @@ class ExperimentConfig:
         for name in ("test_fraction", "validation_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        if not self.alpha_grid and self.fixed_alpha is None:
-            raise ValueError("alpha_grid must be nonempty unless fixed_alpha is set")
+        if not self.alpha_grid:
+            raise ValueError("alpha_grid must be nonempty")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha_grid):
             raise ValueError(f"alpha_grid entries must be finite and > 0, got {self.alpha_grid}")
-        if self.fixed_alpha is not None and not (
-                math.isfinite(self.fixed_alpha) and self.fixed_alpha > 0):
-            raise ValueError(f"fixed_alpha must be finite and > 0, got {self.fixed_alpha}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         source = self.scenario if has_scenario else "csv"
@@ -343,8 +338,6 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
     (best alpha, {alpha: score}), failures maps every other cell to the
     exception that failed it.
     """
-    if not config.alpha_grid:
-        raise ValueError("alpha grid is empty")
     alphas = sorted(config.alpha_grid)
     failures: dict = {}
     inner_val, jobs = {}, []
@@ -368,15 +361,9 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
         scores[cell][alpha] = result.accuracy + result.fairness
 
     _fit_each(jobs, config, failures, score)
-    found = {}
-    for cell in cells:
-        if cell in failures:
-            continue
-        best_alpha, best_score = None, -np.inf
-        for alpha in alphas:
-            if scores[cell][alpha] > best_score:
-                best_alpha, best_score = alpha, scores[cell][alpha]
-        found[cell] = (best_alpha, scores[cell])
+    # max keeps the first maximum of the sorted grid: ties go to the smaller alpha.
+    found = {cell: (max(alphas, key=scores[cell].__getitem__), scores[cell])
+             for cell in cells if cell not in failures}
     return found, failures
 
 
@@ -411,9 +398,10 @@ def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_see
              for mi, method in enumerate(config.methods)
              for ki, model_kind in enumerate(config.models)]
     mixing = [cell for cell in cells if cell[0] in ALPHA_METHODS]
-    alphas: dict = dict.fromkeys(mixing, config.fixed_alpha)
+    # A one-value grid pins alpha; only a longer grid is searched.
+    alphas: dict = dict.fromkeys(mixing, config.alpha_grid[0])
     failures: dict = {}
-    if mixing and config.fixed_alpha is None:
+    if mixing and len(config.alpha_grid) > 1:
         found, failures = alpha_search(train, mixing, config)
         alphas = {cell: alpha for cell, (alpha, _) in found.items()}
 
@@ -474,7 +462,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     }
     if any(method in ALPHA_METHODS for method in config.methods):
         table.notes.append(
-            f"alpha fixed at {config.fixed_alpha:g}" if config.fixed_alpha is not None
+            f"alpha fixed at {config.alpha_grid[0]:g}" if len(config.alpha_grid) == 1
             else "alpha grid searched: " + table.metadata["alpha_grid"]
             + " (internal validation selection)")
     table.notes += [

@@ -14,19 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from .data import feature_standardizer
+from .data import check_int64, feature_standardizer
 from .rng import STREAM_OFFSETS, RngStream
-
-
-def check_int64(owner, *names: str) -> None:
-    """Reject any of owner's named integer fields that does not fit in int64.
-
-    A size past int64 cannot describe a run that ends, so it is a config error.
-    """
-    for name in names:
-        value = getattr(owner, name)
-        if value is not None and not -2**63 <= value < 2**63:
-            raise ValueError(f"{name} must fit in int64, got {value}")
 
 
 @dataclass(frozen=True)
@@ -327,6 +316,8 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         xs = (x - p["mean"]) / p["std"]
         h = np.maximum(xs @ p["W1"] + p["b1"], 0.0)
         s = h @ p["w2"] + p["b2"][0]
+        if not np.isfinite(s).all():
+            raise ValueError("mlp weights diverged to a non-finite output; lower mlp.learning_rate")
         return (s >= 0.0).astype(np.int64)
     raise ValueError(f"unknown model kind {model.kind!r}")
 

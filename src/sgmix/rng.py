@@ -31,10 +31,10 @@ def derive_seed(seed: int, *path: int) -> int:
 class RngStream(np.random.Generator):
     """A numpy Generator keyed by (seed, path); equal keys give equal sequences.
 
-    The path is a tuple of offsets such as STREAM_OFFSETS values. A stream is
-    single-owner: never share one instance across concurrent workers. Streams
-    at distinct paths are statistically independent and may be handed to
-    separate workers.
+    The path is a tuple of offsets such as STREAM_OFFSETS values. Each stage,
+    tree and model makes its own stream and is its only user, so its draws
+    depend only on its key, never on what ran before it. Streams at distinct
+    paths are statistically independent.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_int64
 from .rng import STREAM_OFFSETS, RngStream
 
 
@@ -36,6 +36,7 @@ class ShiftSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.class_shift_magnitude < 0 or self.group_shift_magnitude < 0:
             raise ValueError("shift magnitudes must be nonnegative")
+        check_int64(self, "dim")
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.dim < 2 and math.sin(self.angle) != 0.0:

@@ -51,7 +51,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Any row with an unparseable cell or a nan/inf feature is rejected; all
     rejected rows are reported together in one error, each with its 1-based
-    file line number.
+    file line number. A header may repeat only columns the schema does not read.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -64,6 +64,10 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         missing = [name for name in needed if name not in positions]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
+        for name in needed:
+            if header.count(name) > 1:
+                raise ValueError(
+                    f"{path}: column {name!r} appears {header.count(name)} times in the header")
         feat_pos = [positions[name] for name in schema.feature_columns]
         label_pos = positions[schema.label_column]
         group_pos = positions[schema.group_column]

@@ -191,6 +191,45 @@ def test_cli_exit_one_when_every_cell_fails(tmp_path):
     assert out.read_text() == RESULTS_HEADER + "\n"
 
 
+def test_cli_alpha_and_a_one_value_grid_pin_alpha_without_a_search(tmp_path, capsys,
+                                                                   monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config_text() + "mlp.epochs = 5\n")
+
+    def no_search(*args):
+        raise AssertionError("a one-value grid ran the alpha search")
+
+    monkeypatch.setattr("sgmix.harness.alpha_search", no_search)
+    runs = {}
+    for flag in ("--alpha", "--alpha-grid"):
+        out = tmp_path / f"{flag}.csv"
+        code = main(["--config", str(cfg), "--scenario", "unbalanced-groups", "--out", str(out),
+                     "--methods", "original,fsgm", "--models", "forest,mlp",
+                     "--replicates", "2", flag, "0.5"])
+        notes = [line for line in capsys.readouterr().out.split("\n") if "note:" in line]
+        assert code == 0
+        runs[flag] = (out.read_bytes(), notes)
+    assert runs["--alpha"] == runs["--alpha-grid"]
+    assert "  note: alpha fixed at 0.5" in runs["--alpha"][1]
+    rows = runs["--alpha"][0].decode().split("\n")[1:-1]
+    assert [row.split(",")[3] for row in rows] == ["0.500000"] * 4 + [""] * 4
+
+
+def test_cli_alpha_wins_over_the_grid_it_replaces_which_is_still_checked(tmp_path, capsys):
+    config, _ = config_from_settings({"scenario.name": "unbalanced-groups",
+                                      "experiment.out": "r.csv",
+                                      "experiment.alpha_grid": "0.1,2", "fsgm.alpha": "4"})
+    assert config.alpha_grid == (4.0,)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("experiment.alpha_grid = 0.5,0.5\n")
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups", "--alpha", "0.5",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: alpha_grid must not repeat")
+    assert not out.exists()
+
+
 # One config line per bad value, the data source it runs with, and the key or
 # field its error line must name.
 BAD_VALUES = [
@@ -203,7 +242,7 @@ BAD_VALUES = [
     ("experiment.alpha_grid = -1", "scenario", "alpha_grid"),
     ("experiment.alpha_grid = 0.5,nan", "scenario", "alpha_grid"),
     ("experiment.alpha_grid = 0.5,0.5,1", "scenario", "alpha_grid must not repeat"),
-    ("fsgm.alpha = nan", "scenario", "fixed_alpha"),
+    ("fsgm.alpha = nan", "scenario", "alpha_grid"),
     ("fsgm.k = 0", "scenario", "k must be"),
     ("forest.n_trees = abc", "scenario", "forest.n_trees"),
     ("mlp.learning_rate = inf", "scenario", "learning_rate"),
@@ -298,7 +337,7 @@ def test_cli_rejects_size_that_cannot_be_allocated(tmp_path, capsys, key):
 
 SIZING_KEYS = ["forest.n_trees", "forest.max_depth", "forest.min_leaf",
                "forest.features_per_split", "mlp.hidden_units", "mlp.epochs", "mlp.batch_size",
-               "experiment.replicates", "fsgm.k"]
+               "experiment.replicates", "fsgm.k", "scenario.dim"]
 
 
 @pytest.mark.parametrize("key", SIZING_KEYS)
@@ -365,8 +404,6 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         assert out == settings["experiment.out"]
         reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
                  config.mlp.learning_rate]
-        if config.fixed_alpha is not None:
-            reals.append(config.fixed_alpha)
         if config.shifts is not None:
             shifts = config.shifts
             reals += [shifts.class_shift_magnitude, shifts.group_shift_magnitude, shifts.angle]

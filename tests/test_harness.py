@@ -27,7 +27,7 @@ from sgmix.harness import (
     alpha_search,
     train_test_split,
 )
-from sgmix.models import train_mlps
+from sgmix.models import train_forest, train_mlps
 from sgmix.rng import STREAM_OFFSETS, derive_seed
 from sgmix.tabular import dump_augmented_csv
 
@@ -43,7 +43,7 @@ def small_config(**overrides):
         methods=("original", "fsgm"),
         models=("forest",),
         replicates=2,
-        fixed_alpha=1.0,
+        alpha_grid=(1.0,),
         seed=0,
         k=3,
         forest=ForestSpec(n_trees=10, seed=0),
@@ -194,7 +194,7 @@ def separable_four_subgroups(seed=0, per=10):
 
 def test_alpha_search_singleton_grid():
     train = random_dataset(11, t=40, d=2)
-    config = small_config(alpha_grid=(0.7,), fixed_alpha=None, pairs=BOTH_WAY_PAIRS)
+    config = small_config(alpha_grid=(0.7,), pairs=BOTH_WAY_PAIRS)
     found, failures = alpha_search(train, [("fsgm", "forest", 4)], config)
     assert failures == {}
     best, scores = found[("fsgm", "forest", 4)]
@@ -206,7 +206,6 @@ def test_alpha_search_tie_breaks_to_smallest():
     train = separable_four_subgroups()
     config = small_config(
         alpha_grid=(0.5, 1.0, 2.0),
-        fixed_alpha=None,
         pairs=BOTH_WAY_PAIRS,
         forest=ForestSpec(n_trees=10, min_leaf=1, seed=0),
     )
@@ -220,7 +219,7 @@ def test_alpha_search_tie_breaks_to_smallest():
 @pytest.mark.parametrize("model_kind", ["forest", "mlp"])
 def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch):
     train = random_dataset(12, t=80, d=3)
-    config = small_config(alpha_grid=(4.0, 0.5, 2.0), fixed_alpha=None, pairs=BOTH_WAY_PAIRS,
+    config = small_config(alpha_grid=(4.0, 0.5, 2.0), pairs=BOTH_WAY_PAIRS,
                           mlp=MlpSpec(hidden_units=8, epochs=3, seed=0))
     seed = 13
     scored = []
@@ -315,7 +314,7 @@ def per_cell_rows(config):
 
 @pytest.mark.parametrize("models", [("mlp",), ("forest", "mlp")], ids=["mlp", "forest+mlp"])
 def test_run_experiment_two_phase_schedule_matches_per_cell_runs(models, monkeypatch):
-    settings = dict(methods=METHODS, models=models, fixed_alpha=None, alpha_grid=(2.0, 0.5))
+    settings = dict(methods=METHODS, models=models, alpha_grid=(2.0, 0.5))
     config = small_config(**settings)
     stacks = []
 
@@ -342,6 +341,64 @@ def test_run_experiment_deterministic():
     a = run_experiment(small_config())
     b = run_experiment(small_config())
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("mlp_failure", [
+    pytest.param("diverged", id="diverged-learning-rate", marks=[
+        # The rate overflows the weights to inf and then nan, as intended here.
+        pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+        pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+    ]),
+    pytest.param("raises", id="stacked-fit-raises"),
+])
+def test_failing_mlps_make_one_error_row_per_mlp_cell(mlp_failure, monkeypatch):
+    settings = dict(methods=METHODS, models=("forest", "mlp"), alpha_grid=(0.5, 2.0))
+    clean = run_experiment(small_config(**settings))
+    if mlp_failure == "diverged":
+        settings["mlp"] = MlpSpec(hidden_units=4, epochs=5, learning_rate=1e300, seed=0)
+        exc_type, message = "ValueError", "lower mlp.learning_rate"
+    else:
+        def broken_train_mlps(xs, ys, specs):
+            raise RuntimeError("stacked fit broke")
+
+        monkeypatch.setattr("sgmix.harness.train_mlps", broken_train_mlps)
+        exc_type, message = "RuntimeError", "stacked fit broke"
+    table = run_experiment(small_config(**settings))
+    # Both mixing MLP cells fail in the search phase, the other two in the final one.
+    assert table.rows == [row for row in clean.rows if row.model == "forest"]
+    assert [(e.method, e.model, e.replicate, e.exc_type) for e in table.errors] == [
+        (method, "mlp", r, exc_type) for method in sorted(METHODS) for r in (0, 1)]
+    assert all(e.message.endswith(message) for e in table.errors)
+
+
+def test_cell_failing_its_first_grid_score_fits_none_of_its_later_models(monkeypatch):
+    config = small_config(methods=METHODS, alpha_grid=(0.5, 1.0, 2.0))
+    fits = []
+
+    def counting_train_forest(x, y, spec):
+        fits.append(spec)
+        return train_forest(x, y, spec)
+
+    monkeypatch.setattr("sgmix.harness.train_forest", counting_train_forest)
+    clean = run_experiment(config)
+    assert len(fits) == 2 * (2 * 3 + 4)  # per replicate: two cells' grids, then 4 finals
+    fits.clear()
+    scores = []
+
+    def fail_first_score(model, data):
+        scores.append(model)
+        if len(scores) == 1:
+            raise RuntimeError("scoring broke")
+        return evaluate(model, data)
+
+    monkeypatch.setattr("sgmix.harness.evaluate", fail_first_score)
+    table = run_experiment(config)
+    # Forests fit and score in job order, so the first score is replicate 0's
+    # fsgm at alpha 0.5; its two later grid forests and its final one never fit.
+    assert table.errors == [harness.CellError("fsgm", "forest", 0, "scoring broke",
+                                              "RuntimeError")]
+    assert table.rows == [row for row in clean.rows if (row.method, row.replicate) != ("fsgm", 0)]
+    assert len(fits) == 2 * (2 * 3 + 4) - 3
 
 
 def test_run_experiment_isolates_cell_failures():
@@ -375,7 +432,7 @@ def test_run_experiment_isolates_replicate_data_failures(monkeypatch):
 
 def test_run_experiment_grid_search_fills_alpha():
     config = small_config(
-        methods=("fsgm",), replicates=1, fixed_alpha=None, alpha_grid=(0.5, 1.0)
+        methods=("fsgm",), replicates=1, alpha_grid=(0.5, 1.0)
     )
     table = run_experiment(config)
     assert len(table.rows) == 1
@@ -394,7 +451,7 @@ def test_run_experiment_metadata_and_notes():
 
 
 def test_run_experiment_without_alpha_method_has_no_alpha_note():
-    table = run_experiment(small_config(methods=("original",), replicates=1, fixed_alpha=None))
+    table = run_experiment(small_config(methods=("original",), replicates=1))
     assert not any("alpha" in n for n in table.notes)
     assert table.notes[0] == "test sets are balanced at 500 samples per subgroup"
 

@@ -58,6 +58,17 @@ def test_load_csv_missing_columns(tmp_path):
         load_csv(path, toy_schema())
 
 
+def test_load_csv_rejects_a_repeated_column_the_schema_reads(tmp_path):
+    schema = CsvSchema(feature_columns=("x1",), label_column="y", label_positive="1",
+                       group_column="z", group_positive="1")
+    path = write(tmp_path, "x1,x1,y,z\n1,100,1,0\n2,200,0,1\n")
+    with pytest.raises(ValueError, match=r"column 'x1' appears 2 times in the header"):
+        load_csv(path, schema)
+    # A repeated column the schema does not read is still allowed.
+    path = write(tmp_path, "x1,note,y,note,z\n1,a,1,b,0\n", name="notes.csv")
+    np.testing.assert_array_equal(load_csv(path, schema).x, [[1.0]])
+
+
 def test_load_csv_header_only(tmp_path):
     path = write(tmp_path, "height,weight,outcome,site\n")
     ds = load_csv(path, toy_schema())
