@@ -87,15 +87,17 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- forest
 
 
-def _best_split(xt, y, idx, ones, features, min_leaf):
+def _best_split(xt, yf, sizes, idx, ones, features, min_leaf):
     """Score every sampled feature's thresholds in one pass; return the best split.
 
-    xt is the (d, N) transposed feature matrix. idx is the node's (d, n)
-    array of row indices: row r lists the node's rows sorted by feature r,
-    ties in bootstrap order. ones is the node's label-1 count, passed down
-    from its parent. Thresholds are midpoints between adjacent distinct
-    sorted values. Ties on gain keep the earlier candidate (feature scan
-    order, then smaller split position), which makes the tree deterministic.
+    xt is the (d, N) transposed feature matrix, yf the float64 labels and
+    sizes is arange(N + 1), so a node slices its left-side sizes. idx is
+    the node's (d, n) array of row indices: row r lists the node's rows
+    sorted by feature r, tied values in row order. ones is the node's
+    label-1 count, passed down from its parent. Thresholds are midpoints
+    between adjacent distinct sorted values. Ties on gain keep the earlier
+    candidate (feature scan order, then smaller split position), which
+    makes the tree deterministic.
     Returns (feature, threshold, label-1 count of the left child) or None.
     """
     n = idx.shape[1]
@@ -103,27 +105,28 @@ def _best_split(xt, y, idx, ones, features, min_leaf):
     parent = 2.0 * p * (1.0 - p)
     rows = idx[features]
     sv = xt[features[:, None], rows]
-    csum = np.cumsum(y[rows], axis=1)
-    s = np.arange(min_leaf, n - min_leaf + 1)  # left-side sizes
+    csum = yf[rows].cumsum(axis=1)  # exact: integer counts far below 2**53
     lo, hi = min_leaf - 1, n - min_leaf  # columns s - 1
-    ones_left = csum[:, lo:hi].astype(np.float64)
+    s = sizes[min_leaf:hi + 1]  # left-side sizes
+    n_right = n - s
+    ones_left = csum[:, lo:hi]
     ones_right = float(ones) - ones_left
     pl = ones_left / s
-    pr = ones_right / (n - s)
-    weighted = (s * 2 * pl * (1 - pl) + (n - s) * 2 * pr * (1 - pr)) / n
+    pr = ones_right / n_right
+    weighted = (s * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
     gains = np.where(sv[:, lo:hi] < sv[:, lo + 1:hi + 1], parent - weighted, -np.inf)
-    r, at = divmod(int(np.argmax(gains)), s.size)
+    r, at = divmod(int(gains.argmax()), s.size)
     if not gains[r, at] > 1e-12:
         return None
     pos = s[at]
     thr = float((sv[r, pos - 1] + sv[r, pos]) / 2.0)
     # The left child is the sorted prefix at or below thr; rounding can put
     # thr on sv[r, pos], so count that prefix rather than trusting pos.
-    left = int(np.searchsorted(sv[r], thr, side="right"))
+    left = int(sv[r].searchsorted(thr, side="right"))
     return int(features[r]), thr, int(csum[r, left - 1]) if left else 0
 
 
-def _grow_tree(xt, y, idx, ones, spec, m, stream, depth):
+def _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, depth):
     """Grow one node from its sorted (d, n) row indices and label-1 count.
 
     Each split partitions every row of idx through one boolean mask,
@@ -135,17 +138,17 @@ def _grow_tree(xt, y, idx, ones, spec, m, stream, depth):
     if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
         return {"leaf": int(2 * ones > n)}
     d = xt.shape[0]
-    best = _best_split(xt, y, idx, ones, stream.permutation(d)[:m], spec.min_leaf)
+    best = _best_split(xt, yf, sizes, idx, ones, stream.permutation(d)[:m], spec.min_leaf)
     if best is None:
         return {"leaf": int(2 * ones > n)}
     f, thr, ones_left = best
-    goes_left = xt[f, idx] <= thr
+    goes_left = xt[f][idx] <= thr
     return {
         "feature": f,
         "threshold": thr,
-        "left": _grow_tree(xt, y, idx[goes_left].reshape(d, -1), ones_left,
+        "left": _grow_tree(xt, yf, sizes, idx[goes_left].reshape(d, -1), ones_left,
                            spec, m, stream, depth + 1),
-        "right": _grow_tree(xt, y, idx[~goes_left].reshape(d, -1), ones - ones_left,
+        "right": _grow_tree(xt, yf, sizes, idx[~goes_left].reshape(d, -1), ones - ones_left,
                             spec, m, stream, depth + 1),
     }
 
@@ -173,15 +176,22 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
     if m > d:
         raise ValueError(f"features_per_split={m} exceeds feature count {d}")
+    n = x.shape[0]
     xt = np.ascontiguousarray(x.T)
+    yf = y.astype(np.float64)
+    sizes = np.arange(n + 1)
+    # Sort each feature once per fit, ties in row order. A tree's (d, n)
+    # index repeats each sorted row by its bootstrap count, so it is sorted
+    # too; nodes only partition these lists.
+    order = np.argsort(xt, axis=1, kind="stable")
     trees = []
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
-        rows = stream.integers(0, x.shape[0], size=x.shape[0])
-        # Sort each feature once per tree; nodes only partition these lists.
-        idx = rows[np.argsort(xt[:, rows], axis=1, kind="stable")]
-        trees.append(_grow_tree(xt, y, idx, int(y[rows].sum()), spec, m, stream, 0))
+        rows = stream.integers(0, n, size=n)
+        counts = np.bincount(rows, minlength=n)
+        idx = np.repeat(order.ravel(), counts[order].ravel()).reshape(d, -1)
+        trees.append(_grow_tree(xt, yf, sizes, idx, int(y[rows].sum()), spec, m, stream, 0))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 
 
@@ -271,13 +281,16 @@ def train_mlps(xs, ys, specs) -> list[TrainedModel]:
     params = {key: np.stack([init[key] for init in inits]) for key in inits[0]}
     shuffles = [RngStream(s.seed, (STREAM_OFFSETS["batch-shuffle"],)) for s in specs]
     models = np.arange(len(data))[:, None]
-    for _ in range(spec.epochs):
-        order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
-        for start in range(0, n, spec.batch_size):
-            batch = order[:, start:start + spec.batch_size]
-            _, grads = _mlp_grads(params, xz[models, batch], yf[models, batch])
-            for key, grad in grads.items():
-                params[key] -= spec.learning_rate * grad
+    # A too-large rate overflows the weights to inf and then nan; predict
+    # reports that with a ValueError, so numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(spec.epochs):
+            order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
+            for start in range(0, n, spec.batch_size):
+                batch = order[:, start:start + spec.batch_size]
+                _, grads = _mlp_grads(params, xz[models, batch], yf[models, batch])
+                for key, grad in grads.items():
+                    params[key] -= spec.learning_rate * grad
     return [
         TrainedModel(kind="mlp", dim=d, params={
             **{key: value[i].copy() for key, value in params.items()},
@@ -313,9 +326,10 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         return (votes / len(model.params["trees"]) >= 0.5).astype(np.int64)
     if model.kind == "mlp":
         p = model.params
-        xs = (x - p["mean"]) / p["std"]
-        h = np.maximum(xs @ p["W1"] + p["b1"], 0.0)
-        s = h @ p["w2"] + p["b2"][0]
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            xs = (x - p["mean"]) / p["std"]
+            h = np.maximum(xs @ p["W1"] + p["b1"], 0.0)
+            s = h @ p["w2"] + p["b2"][0]
         if not np.isfinite(s).all():
             raise ValueError("mlp weights diverged to a non-finite output; lower mlp.learning_rate")
         return (s >= 0.0).astype(np.int64)

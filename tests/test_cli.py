@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +192,24 @@ def test_cli_exit_one_when_every_cell_fails(tmp_path):
     ])
     assert code == 1
     assert out.read_text() == RESULTS_HEADER + "\n"
+
+
+def test_cli_diverged_mlp_fails_its_cell_without_numpy_warnings(tmp_path):
+    """Run as users do, with Python's default warning filters."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mlp.learning_rate = 1e300\nmlp.epochs = 5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sgmix.cli", "--config", str(cfg),
+         "--scenario", "unbalanced-groups", "--methods", "original", "--models", "mlp",
+         "--replicates", "1", "--out", str(tmp_path / "results.csv")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert ("FAILED original x mlp replicate 0: ValueError: mlp weights diverged to a "
+            "non-finite output; lower mlp.learning_rate") in done.stdout
+    assert done.stderr == ""  # no numpy RuntimeWarning on the way
 
 
 def test_cli_alpha_and_a_one_value_grid_pin_alpha_without_a_search(tmp_path, capsys,

@@ -344,11 +344,7 @@ def test_run_experiment_deterministic():
 
 
 @pytest.mark.parametrize("mlp_failure", [
-    pytest.param("diverged", id="diverged-learning-rate", marks=[
-        # The rate overflows the weights to inf and then nan, as intended here.
-        pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-        pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
-    ]),
+    pytest.param("diverged", id="diverged-learning-rate"),
     pytest.param("raises", id="stacked-fit-raises"),
 ])
 def test_failing_mlps_make_one_error_row_per_mlp_cell(mlp_failure, monkeypatch):

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgmix import ForestSpec, MlpSpec, predict, train_forest, train_mlp
+from sgmix.cli import config_from_settings
 from sgmix.data import feature_standardizer
 from sgmix.models import (
     TrainedModel,
@@ -14,6 +16,9 @@ from sgmix.models import (
     train_mlps,
 )
 from sgmix.rng import STREAM_OFFSETS, RngStream
+from sgmix.tabular import load_config, load_csv
+
+BENCH_SCHEMA = Path(__file__).resolve().parents[1] / "perfbench" / "admissions.cfg"
 
 
 def separated_data(seed, n=200, d=3, margin=3.0):
@@ -170,19 +175,37 @@ def midpoint_rounding_data():
     return x, np.repeat([0, 1], 20)
 
 
+def bootstrap_ties_data():
+    """Twelve rows with 2-3 distinct values per column and mixed labels, so
+    every bootstrap repeats rows whose values tie with other rows."""
+    i = np.arange(12)
+    x = np.column_stack([i % 2, i % 3, i // 4, 2 * i % 3]).astype(float)
+    return x, np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0])
+
+
 @pytest.mark.parametrize("max_depth", [3, 8])
 @pytest.mark.parametrize("features_per_split", [None, 4])
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, max_depth):
     no_split = []
     for seed, (x, y) in enumerate([tied_data(0), tied_data(1), tied_data(2),
-                                   midpoint_rounding_data()]):
+                                   midpoint_rounding_data(), bootstrap_ties_data()]):
         spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
                           features_per_split=features_per_split, seed=seed)
         model = train_forest(x, y, spec)
         reference = reference_forest(x, y, spec, no_split)
         assert model.params == reference.params
     assert no_split  # some impure nodes had no valid split
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_forest_matches_per_node_sort_reference_on_bundled_csv(seed, standin_path):
+    settings = {**load_config(BENCH_SCHEMA), "csv.path": standin_path, "experiment.out": "-"}
+    config, _ = config_from_settings(settings)
+    data = load_csv(config.csv_path, config.csv_schema)
+    x, y = data.x[:300], data.y[:300]
+    spec = ForestSpec(n_trees=4, seed=seed)
+    assert train_forest(x, y, spec).params == reference_forest(x, y, spec, []).params
 
 
 def test_forest_input_validation():
