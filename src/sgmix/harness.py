@@ -138,17 +138,22 @@ class ExperimentConfig:
         if has_csv:
             if self.shifts is not None or self.counts is not None:
                 raise ValueError("shifts and counts apply only to a scenario, not to csv_path")
-            return
-        preset = preset_scenario(self.scenario)
-        if self.shifts is None:
-            object.__setattr__(self, "shifts", preset.shifts)
-        try:
-            counts = np.asarray(preset.counts if self.counts is None else self.counts,
-                                dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"counts must fit in int64, got {self.counts}") from None
-        # Validates the shape, signs and total the generator will see.
-        object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
+            dim = len(self.csv_schema.feature_columns)
+        else:
+            preset = preset_scenario(self.scenario)
+            if self.shifts is None:
+                object.__setattr__(self, "shifts", preset.shifts)
+            try:
+                counts = np.asarray(preset.counts if self.counts is None else self.counts,
+                                    dtype=np.int64)
+            except OverflowError:
+                raise ValueError(f"counts must fit in int64, got {self.counts}") from None
+            # Validates the shape, signs and total the generator will see.
+            object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
+            dim = self.shifts.dim
+        m = self.forest.features_per_split
+        if "forest" in self.models and m is not None and m > dim:
+            raise ValueError(f"forest.features_per_split={m} exceeds feature count {dim}")
 
 
 @dataclass(frozen=True)

@@ -90,67 +90,78 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _best_split(xt, yf, sizes, idx, ones, features, min_leaf):
     """Score every sampled feature's thresholds in one pass; return the best split.
 
-    xt is the (d, N) transposed feature matrix, yf the float64 labels and
-    sizes is arange(N + 1), so a node slices its left-side sizes. idx is
-    the node's (d, n) array of row indices: row r lists the node's rows
-    sorted by feature r, tied values in row order. ones is the node's
-    label-1 count, passed down from its parent. Thresholds are midpoints
-    between adjacent distinct sorted values. Ties on gain keep the earlier
-    candidate (feature scan order, then smaller split position), which
-    makes the tree deterministic.
-    Returns (feature, threshold, label-1 count of the left child) or None.
+    xt is the (d, N) transposed feature matrix and yf the float64 labels.
+    sizes is the float64 (2, N + 1) array of arange(N + 1) and twice it, so a
+    node slices its left-side sizes s and 2 * s, and reads n - s and
+    2 * (n - s) as the same slices reversed; every size is an exact integer
+    in float64. idx is the node's (d, n) array of row indices: row r lists
+    the node's rows sorted by feature r, tied values in row order. ones is
+    the node's label-1 count, passed down from its parent. Thresholds are
+    midpoints between adjacent distinct sorted values. Ties on gain keep the
+    earlier candidate (feature scan order, then smaller split position),
+    which makes the tree deterministic.
+    Returns (feature, threshold, left child's size, left child's label-1
+    count) or None.
     """
     n = idx.shape[1]
     p = ones / n
     parent = 2.0 * p * (1.0 - p)
-    rows = idx[features]
+    rows = idx.take(features, axis=0)
     sv = xt[features[:, None], rows]
-    csum = yf[rows].cumsum(axis=1)  # exact: integer counts far below 2**53
+    csum = yf.take(rows).cumsum(axis=1)  # exact: integer counts far below 2**53
     lo, hi = min_leaf - 1, n - min_leaf  # columns s - 1
-    s = sizes[min_leaf:hi + 1]  # left-side sizes
-    n_right = n - s
+    s, s2 = sizes[:, min_leaf:hi + 1]  # left-side sizes, symmetric about n / 2
     ones_left = csum[:, lo:hi]
-    ones_right = float(ones) - ones_left
     pl = ones_left / s
-    pr = ones_right / n_right
-    weighted = (s * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+    pr = (float(ones) - ones_left) / s[::-1]
+    weighted = (s2 * pl * (1 - pl) + s2[::-1] * pr * (1 - pr)) / n
     gains = np.where(sv[:, lo:hi] < sv[:, lo + 1:hi + 1], parent - weighted, -np.inf)
     r, at = divmod(int(gains.argmax()), s.size)
     if not gains[r, at] > 1e-12:
         return None
-    pos = s[at]
+    pos = at + min_leaf
     thr = float((sv[r, pos - 1] + sv[r, pos]) / 2.0)
     # The left child is the sorted prefix at or below thr; rounding can put
     # thr on sv[r, pos], so count that prefix rather than trusting pos.
     left = int(sv[r].searchsorted(thr, side="right"))
-    return int(features[r]), thr, int(csum[r, left - 1]) if left else 0
+    return int(features[r]), thr, left, int(csum[r, left - 1]) if left else 0
+
+
+def _leaf(n, ones, spec, depth):
+    """The leaf of a node with n rows and ones label-1 rows, or None if it may split."""
+    if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
+        return {"leaf": int(2 * ones > n)}  # majority label, ties to 0
+    return None
 
 
 def _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, depth):
-    """Grow one node from its sorted (d, n) row indices and label-1 count.
+    """Grow a node that _leaf lets split from its sorted (d, n) row indices
+    and label-1 count.
 
-    Each split partitions every row of idx through one boolean mask,
-    keeping order, so both children stay sorted by every feature and no
-    node sorts again. The label-1 counts come from the split's prefix sum,
-    so the leaf tests and the majority label (ties to 0) cost O(1).
+    The split gives each child's size and label-1 count, so a child that
+    the leaf test (depth, size, purity) ends becomes a leaf at once and is
+    never partitioned. Any other child is compressed out of the raveled
+    idx through one mask, keeping order, so it stays sorted by every
+    feature and no node sorts again. An empty child is a leaf.
     """
     n = idx.shape[1]
-    if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
-        return {"leaf": int(2 * ones > n)}
     d = xt.shape[0]
     best = _best_split(xt, yf, sizes, idx, ones, stream.permutation(d)[:m], spec.min_leaf)
     if best is None:
         return {"leaf": int(2 * ones > n)}
-    f, thr, ones_left = best
-    goes_left = xt[f][idx] <= thr
-    return {
-        "feature": f,
-        "threshold": thr,
-        "left": _grow_tree(xt, yf, sizes, idx[goes_left].reshape(d, -1), ones_left,
-                           spec, m, stream, depth + 1),
-        "right": _grow_tree(xt, yf, sizes, idx[~goes_left].reshape(d, -1), ones - ones_left,
-                            spec, m, stream, depth + 1),
-    }
+    f, thr, n_left, ones_left = best
+    left = _leaf(n_left, ones_left, spec, depth + 1)
+    right = _leaf(n - n_left, ones - ones_left, spec, depth + 1)
+    if left is None or right is None:
+        flat = idx.ravel()
+        goes_left = xt[f].take(flat) <= thr
+        if left is None:
+            left = _grow_tree(xt, yf, sizes, flat.compress(goes_left).reshape(d, -1), ones_left,
+                              spec, m, stream, depth + 1)
+        if right is None:
+            right = _grow_tree(xt, yf, sizes, flat.compress(~goes_left).reshape(d, -1),
+                               ones - ones_left, spec, m, stream, depth + 1)
+    return {"feature": f, "threshold": thr, "left": left, "right": right}
 
 
 def _tree_predict(node, x) -> np.ndarray:
@@ -179,7 +190,7 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
     n = x.shape[0]
     xt = np.ascontiguousarray(x.T)
     yf = y.astype(np.float64)
-    sizes = np.arange(n + 1)
+    sizes = np.arange(n + 1.0) * [[1.0], [2.0]]
     # Sort each feature once per fit, ties in row order. A tree's (d, n)
     # index repeats each sorted row by its bootstrap count, so it is sorted
     # too; nodes only partition these lists.
@@ -191,7 +202,9 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
         rows = stream.integers(0, n, size=n)
         counts = np.bincount(rows, minlength=n)
         idx = np.repeat(order.ravel(), counts[order].ravel()).reshape(d, -1)
-        trees.append(_grow_tree(xt, yf, sizes, idx, int(y[rows].sum()), spec, m, stream, 0))
+        ones = int(y[rows].sum())
+        trees.append(_leaf(n, ones, spec, 0)
+                     or _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, 0))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 
 

@@ -340,6 +340,43 @@ def test_cli_rejects_key_repeated_in_config_file(tmp_path, capsys):
     assert err == "error: config line 2: key 'experiment.seed' is already set on line 1\n", err
 
 
+@pytest.mark.parametrize("source,lines,message", [
+    ("csv", "forest.features_per_split = 9\n",
+     "forest.features_per_split=9 exceeds feature count 7"),
+    ("scenario", fast_config_text() + "scenario.dim = 2\nforest.features_per_split = 3\n",
+     "forest.features_per_split=3 exceeds feature count 2"),
+], ids=["csv", "scenario"])
+def test_cli_rejects_features_per_split_past_feature_count(tmp_path, capsys, monkeypatch,
+                                                          standin_path, source, lines, message):
+    def must_not_run(config):
+        raise AssertionError("run_experiment called despite too many features per split")
+
+    cfg = tmp_path / "run.cfg"
+    if source == "csv":
+        schema = "".join(f"{key} = {value}\n" for key, value in STANDIN_SCHEMA.items())
+        cfg.write_text(schema + lines)
+        data = ["--csv", standin_path]
+    else:
+        cfg.write_text(lines)
+        data = ["--scenario", "unbalanced-groups"]
+    out = tmp_path / "r.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr("sgmix.cli.run_experiment", must_not_run)
+        code = main(["--config", str(cfg), *data, "--out", str(out), "--methods", "original,fsgm",
+                     "--models", "forest", "--replicates", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n", err
+    assert not out.exists()
+
+    # The forest setting does not bind an MLP-only run.
+    cfg.write_text(cfg.read_text() + "mlp.epochs = 1\n")
+    code = main(["--config", str(cfg), *data, "--out", str(out), "--methods", "original",
+                 "--models", "mlp", "--replicates", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 2
+
+
 @pytest.mark.parametrize("key", ["scenario.t00", "scenario.dim"])
 def test_cli_rejects_size_that_cannot_be_allocated(tmp_path, capsys, key):
     # 10**15 rows or columns of float64 exceed any address space, so numpy

@@ -198,6 +198,28 @@ def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, ma
     assert no_split  # some impure nodes had no valid split
 
 
+def leaf_depths(node, depth=0):
+    if "leaf" in node:
+        return [depth]
+    return leaf_depths(node["left"], depth + 1) + leaf_depths(node["right"], depth + 1)
+
+
+@pytest.mark.parametrize("max_depth,min_leaf", [(1, 1), (2, 1), (8, 3), (8, 30)])
+def test_forest_leaf_children_match_per_node_sort_reference(max_depth, min_leaf):
+    """A child that the leaf test ends is emitted without a partition: by
+    depth every child (depth 1) or grandchild (depth 2) is such a leaf, and a
+    large min_leaf puts children under 2 * min_leaf rows."""
+    depths = []
+    for seed, (x, y) in enumerate([tied_data(0), tied_data(1), bootstrap_ties_data()]):
+        spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+        model = train_forest(x, y, spec)
+        assert model.params == reference_forest(x, y, spec, []).params
+        depths += [d for tree in model.params["trees"] for d in leaf_depths(tree)]
+    assert max(depths) >= min(max_depth, 2)  # some trees split, and twice where they may
+    if max_depth == 8:
+        assert min(depths) < max_depth  # some children stop early on size or purity
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_forest_matches_per_node_sort_reference_on_bundled_csv(seed, standin_path):
     settings = {**load_config(BENCH_SCHEMA), "csv.path": standin_path, "experiment.out": "-"}
