@@ -6,12 +6,12 @@ original rows plus an equal number of new rows; the plain baseline trains on
 a bootstrap of the same total size, so every model sees exactly 2T rows.
 
 A replicate runs in two phases. The search phase augments the alpha grid of
-every cell that searches one, fits all of those grid sets and picks each
-cell's alpha. The final phase augments every cell's 2T training set, fits
-all of them and scores each model on the test set. In both phases the MLPs
-of every cell train together in one stacked SGD loop, and forests train one
-at a time. Every fit derives its own seeds, so a model comes out the same as
-when its cell runs alone (`run_method`).
+every cell that searches one, fits and scores all of those grid sets and
+picks each cell's alpha. The final phase augments every cell's 2T training
+set, fits each model and scores it on the test set. Both phases go through
+`_fit_and_score`: the MLPs train together in one stacked SGD loop, and
+forests one at a time, each freed once it is scored. Every fit derives its
+own seeds, so a model comes out as when its cell runs alone (`run_method`).
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .augment import (
     vanilla_mixup,
 )
 from .data import ALL_SUBGROUPS, Dataset, check_int64, concat, subgroup_indices
-from .metrics import EvalResult, evaluate
+from .metrics import evaluate
 from .models import (
     ForestSpec,
     MlpSpec,
@@ -121,6 +121,10 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("forest", "mlp"):
+            if getattr(self, name).seed != 0:
+                raise ValueError(f"{name}.seed must be 0, got {getattr(self, name).seed}: "
+                                 "every fit derives its seed from experiment.seed")
         for name in ("test_fraction", "validation_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -298,34 +302,36 @@ def run_method(
     return MethodRun(method=method, alpha=alpha, model=model, train_data=data, origins=origins)
 
 
-def _fit_each(jobs, config: ExperimentConfig, failures: dict, use) -> None:
-    """Fit one model per (cell, data, seed, extra) job and hand it to use(job, model).
+def _fit_and_score(jobs, config: ExperimentConfig, failures: dict) -> dict:
+    """Fit one model per (cell, data, seed, holdout) job and score it on holdout.
 
-    A cell is a (method, model_kind, seed) triple. The MLP jobs train
-    together in one stacked SGD loop; forests train one at a time and each
-    is dropped after use, so forests never pile up in memory. A fit or use
-    that raises fails the job's cell: the exception goes into failures and
-    the cell's later jobs are skipped. A stacked fit that raises fails every
-    cell in it.
+    A cell is a (method, model_kind, seed) triple. Returns {job index:
+    EvalResult} for every job that was scored. The MLP jobs train together
+    in one stacked SGD loop; forests train one at a time. No model is bound
+    to a name, so each is freed once it is scored and forests never pile up
+    in memory. A fit or score that raises fails the job's cell: the
+    exception goes into failures and the cell's later jobs are skipped. A
+    stacked fit that raises fails every cell in it.
     """
     mlp = [i for i, job in enumerate(jobs) if job[0][1] == "mlp"]
     stacked = {}
     if mlp:
         try:
             stacked = dict(zip(mlp, train_mlps(
-                [jobs[i][1].x for i in mlp], [jobs[i][1].y for i in mlp],
-                [_model_spec("mlp", config, jobs[i][2]) for i in mlp])))
+                [jobs[i][1].x for i in mlp], [jobs[i][1].y for i in mlp], config.mlp,
+                [_model_spec("mlp", config, jobs[i][2]).seed for i in mlp])))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures.update((jobs[i][0], exc) for i in mlp)
-    for i, job in enumerate(jobs):
-        cell, data, seed, _ = job
+    results = {}
+    for i, (cell, data, seed, holdout) in enumerate(jobs):
         if cell in failures:
             continue
         try:
-            model = stacked[i] if i in stacked else _train_model(data, cell[1], config, seed)
-            use(job, model)
+            results[i] = evaluate(stacked.pop(i) if i in stacked
+                                  else _train_model(data, cell[1], config, seed), holdout)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc
+    return results
 
 
 def alpha_search(train: Dataset, cells, config: ExperimentConfig):
@@ -335,9 +341,9 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
     alpha on an internal stratified split of the training data drawn from its
     seed, so no test information leaks into the choice. A cell's alphas share
     that split and the same downstream seeds; ties go to the smaller alpha.
-    Every cell's grid sets are augmented first, then fitted by one
-    `_fit_each` call: the MLPs of all cells in one stacked loop, forests one
-    at a time.
+    Every cell's grid sets are augmented first, then fitted and scored by one
+    `_fit_and_score` call: the MLPs of all cells in one stacked loop, forests
+    one at a time.
 
     Returns (found, failures): found maps every cell that succeeded to its
     (best alpha, {alpha: score}), failures maps every other cell to the
@@ -345,27 +351,24 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
     """
     alphas = sorted(config.alpha_grid)
     failures: dict = {}
-    inner_val, jobs = {}, []
+    jobs = []
     for cell in cells:
         method, _, seed = cell
         inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
         try:
-            inner_train, inner_val[cell] = train_test_split(
+            inner_train, inner_val = train_test_split(
                 train, config.validation_fraction,
                 derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
             )
             jobs += [(cell, _augment(inner_train, method, config, inner_seed, alpha)[0],
-                      inner_seed, alpha) for alpha in alphas]
+                      inner_seed, inner_val) for alpha in alphas]
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc
-    scores: dict = {cell: {} for cell in cells}
-
-    def score(job, model):
-        cell, _, _, alpha = job
-        result = evaluate(model, inner_val[cell])
-        scores[cell][alpha] = result.accuracy + result.fairness
-
-    _fit_each(jobs, config, failures, score)
+    scores: dict = {}
+    # A cell adds all of its grid jobs or none, so job i scores alphas[i % len(alphas)].
+    for i, result in _fit_and_score(jobs, config, failures).items():
+        scores.setdefault(jobs[i][0], {})[alphas[i % len(alphas)]] = (
+            result.accuracy + result.fairness)
     # max keeps the first maximum of the sorted grid: ties go to the smaller alpha.
     found = {cell: (max(alphas, key=scores[cell].__getitem__), scores[cell])
              for cell in cells if cell not in failures}
@@ -414,24 +417,22 @@ def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_see
     for cell in cells:
         if cell in failures:
             continue
-        method, _, seed = cell
+        method, model_kind, seed = cell
         try:
             data, origins = _augment(train, method, config, seed, alphas.get(cell))
+            # Dump before the fit: a failed dump fails its cell before any model trains.
+            if config.dump_augmented and r == 0 and model_kind == config.models[0]:
+                dump_augmented_csv(_dump_path(config.dump_augmented, method), data, origins)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc
             continue
-        jobs.append((cell, data, seed, origins))
+        jobs.append((cell, data, seed, test))
 
-    def record(job, model):
-        cell, data, _, origins = job
-        method, model_kind, _ = cell
-        result: EvalResult = evaluate(model, test)
-        # Dump first: a failed dump must leave an error row, not a row too.
-        if config.dump_augmented and r == 0 and model_kind == config.models[0]:
-            dump_augmented_csv(_dump_path(config.dump_augmented, method), data, origins)
+    for i, result in _fit_and_score(jobs, config, failures).items():
+        cell, data = jobs[i][:2]
         table.rows.append(ResultRow(
-            method=method,
-            model=model_kind,
+            method=cell[0],
+            model=cell[1],
             replicate=r,
             alpha=alphas.get(cell),
             accuracy=result.accuracy,
@@ -440,8 +441,6 @@ def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_see
             train_size=len(data),
             seed=rep_seed,
         ))
-
-    _fit_each(jobs, config, failures, record)
     table.errors += [CellError(method, model_kind, r, str(exc), type(exc).__name__)
                      for (method, model_kind, _), exc in failures.items()]
 

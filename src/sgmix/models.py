@@ -7,7 +7,6 @@ shuffle draws from a stream derived up front from that seed.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -259,40 +258,34 @@ def mlp_loss_and_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.nda
     return float(np.mean(np.logaddexp(0.0, s) - yb * s)), grads
 
 
-def train_mlps(xs, ys, specs) -> list[TrainedModel]:
-    """Train one MLP per (x, y, spec) in a single stacked SGD loop.
+def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
+    """Train one MLP per (x, y, seed) in a single stacked SGD loop.
 
     Mini-batch SGD on one rectified hidden layer with a sigmoid output.
     Each dataset's inputs are z-scored with its own training statistics;
     the same transform is stored on its model and applied at predict time.
-    The datasets must share one shape, and the specs may differ only in
-    seed. Each model draws its initial weights and its shuffled row order
-    from its own seed, so each comes out exactly as if it were trained alone.
+    The datasets must share one shape. Every model takes spec's settings and
+    its own seed from seeds, which draws its initial weights and shuffled row
+    order, so each comes out exactly as if it were trained alone.
     """
     data = [_check_xy(x, y) for x, y in zip(xs, ys, strict=True)]
-    specs = list(specs)
-    if len(specs) != len(data):
-        raise ValueError(f"got {len(specs)} specs for {len(data)} datasets")
+    seeds = list(seeds)
+    if len(seeds) != len(data):
+        raise ValueError(f"got {len(seeds)} seeds for {len(data)} datasets")
     if not data:
         raise ValueError("no datasets to train on")
     shapes = sorted({x.shape for x, _ in data})
     if len(shapes) > 1:
         raise ValueError(f"datasets must share one shape, got {shapes}")
-    for f in dataclasses.fields(MlpSpec):
-        values = {getattr(spec, f.name) for spec in specs}
-        if f.name != "seed" and len(values) > 1:
-            raise ValueError(
-                f"specs may differ only in seed, got {f.name} values {sorted(values)}")
-    spec = specs[0]
     n, d = shapes[0]
     scalers = [feature_standardizer(x) for x, _ in data]
     xz = np.stack([(x - mean) / std for (x, _), (mean, std) in zip(data, scalers)])
     yf = np.stack([y for _, y in data]).astype(np.float64)
 
     inits = [init_mlp_params(d, spec.hidden_units,
-                             RngStream(s.seed, (STREAM_OFFSETS["model-init"],))) for s in specs]
+                             RngStream(seed, (STREAM_OFFSETS["model-init"],))) for seed in seeds]
     params = {key: np.stack([init[key] for init in inits]) for key in inits[0]}
-    shuffles = [RngStream(s.seed, (STREAM_OFFSETS["batch-shuffle"],)) for s in specs]
+    shuffles = [RngStream(seed, (STREAM_OFFSETS["batch-shuffle"],)) for seed in seeds]
     models = np.arange(len(data))[:, None]
     # A too-large rate overflows the weights to inf and then nan; predict
     # reports that with a ValueError, so numpy need not warn on the way.
@@ -315,7 +308,7 @@ def train_mlps(xs, ys, specs) -> list[TrainedModel]:
 
 def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
     """Fit one MLP; the one-dataset case of `train_mlps`."""
-    return train_mlps([x], [y], [spec])[0]
+    return train_mlps([x], [y], spec, [spec.seed])[0]
 
 
 # ---------------------------------------------------------------- shared

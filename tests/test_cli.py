@@ -11,6 +11,7 @@ import pytest
 
 from sgmix.cli import SETTINGS, config_from_settings, main
 from sgmix.harness import RESULTS_HEADER
+from sgmix.synth import preset_scenario
 from sgmix.tabular import dump_augmented_csv
 
 from conftest import STANDIN_FEATURES, random_dataset
@@ -210,6 +211,27 @@ def test_cli_diverged_mlp_fails_its_cell_without_numpy_warnings(tmp_path):
     assert ("FAILED original x mlp replicate 0: ValueError: mlp weights diverged to a "
             "non-finite output; lower mlp.learning_rate") in done.stdout
     assert done.stderr == ""  # no numpy RuntimeWarning on the way
+
+
+def test_cli_dump_comes_before_the_fit_that_fails(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mlp.learning_rate = 1e300\nmlp.epochs = 5\n")
+    code = main([
+        "--config", str(cfg),
+        "--scenario", "unbalanced-groups",
+        "--models", "mlp",
+        "--replicates", "1",
+        "--alpha", "1",
+        "--out", str(tmp_path / "results.csv"),
+        "--dump-augmented", str(tmp_path / "aug.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().out.count("FAILED") == 4
+    # Every cell's diverged model fails after its training set was dumped.
+    t = int(preset_scenario("unbalanced-groups").counts.sum())
+    for method in ("original", "fsgm", "vanilla-mixup", "group-swap"):
+        lines = (tmp_path / f"aug.{method}.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2 * t
 
 
 def test_cli_alpha_and_a_one_value_grid_pin_alpha_without_a_search(tmp_path, capsys,

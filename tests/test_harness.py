@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -318,9 +320,9 @@ def test_run_experiment_two_phase_schedule_matches_per_cell_runs(models, monkeyp
     config = small_config(**settings)
     stacks = []
 
-    def recording_train_mlps(xs, ys, specs):
-        stacks.append(len(specs))
-        return train_mlps(xs, ys, specs)
+    def recording_train_mlps(xs, ys, spec, seeds):
+        stacks.append(len(seeds))
+        return train_mlps(xs, ys, spec, seeds)
 
     monkeypatch.setattr("sgmix.harness.train_mlps", recording_train_mlps)
     table = run_experiment(config)
@@ -354,7 +356,7 @@ def test_failing_mlps_make_one_error_row_per_mlp_cell(mlp_failure, monkeypatch):
         settings["mlp"] = MlpSpec(hidden_units=4, epochs=5, learning_rate=1e300, seed=0)
         exc_type, message = "ValueError", "lower mlp.learning_rate"
     else:
-        def broken_train_mlps(xs, ys, specs):
+        def broken_train_mlps(xs, ys, spec, seeds):
             raise RuntimeError("stacked fit broke")
 
         monkeypatch.setattr("sgmix.harness.train_mlps", broken_train_mlps)
@@ -496,8 +498,15 @@ def test_run_experiment_dumps_augmented_training_sets(tmp_path):
         assert tags == {"original", tag}
 
 
-def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path):
+def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path, monkeypatch):
     config = small_config(dump_augmented=str(tmp_path / "missing" / "aug.csv"))
+    fits = []
+
+    def counting_train_forest(x, y, spec):
+        fits.append(spec)
+        return train_forest(x, y, spec)
+
+    monkeypatch.setattr("sgmix.harness.train_forest", counting_train_forest)
     table = run_experiment(config)
     cells = [(r.method, r.model, r.replicate) for r in table.rows]
     failed = [(e.method, e.model, e.replicate) for e in table.errors]
@@ -505,6 +514,26 @@ def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path):
     assert failed == [("fsgm", "forest", 0), ("original", "forest", 0)]
     assert cells == [("fsgm", "forest", 1), ("original", "forest", 1)]
     assert all(e.exc_type == "FileNotFoundError" for e in table.errors)
+    # The dump comes before the fit, so a cell whose dump failed trains no model.
+    assert len(fits) == 2
+
+
+def test_no_forest_outlives_its_score(monkeypatch):
+    config = small_config(methods=METHODS, alpha_grid=(0.5, 2.0))
+    refs, alive = [], []
+
+    def tracking_train_forest(x, y, spec):
+        # A list of refs, not a WeakSet: TrainedModel is unhashable.
+        alive.append(sum(ref() is not None for ref in refs))
+        model = train_forest(x, y, spec)
+        refs.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr("sgmix.harness.train_forest", tracking_train_forest)
+    table = run_experiment(config)
+    assert not table.errors
+    # Per replicate: two mixing cells' two-alpha grids, then four final fits.
+    assert alive == [0] * config.replicates * (2 * 2 + 4)
 
 
 def test_experiment_config_validation():
@@ -528,6 +557,12 @@ def test_experiment_config_validation():
         ExperimentConfig(scenario="unbalanced-groups", methods=("original", "original"))
     with pytest.raises(ValueError, match="models must not repeat"):
         ExperimentConfig(scenario="unbalanced-groups", models=("forest", "forest"))
+    for name, spec in (("forest", ForestSpec(n_trees=5, seed=12345)),
+                       ("mlp", MlpSpec(epochs=3, seed=777))):
+        with pytest.raises(ValueError, match=(
+                rf"^{name}\.seed must be 0, got {spec.seed}: "
+                r"every fit derives its seed from experiment\.seed$")):
+            ExperimentConfig(scenario="unbalanced-groups", **{name: spec})
 
 
 @pytest.mark.parametrize("override", [

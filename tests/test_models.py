@@ -379,7 +379,7 @@ def test_stacked_mlps_match_one_at_a_time_reference(count):
     specs = [dataclasses.replace(base, seed=seed) for seed in STACK_SEEDS[count]]
     data = [separated_data(30 + i, n=101, d=4, margin=0.5 + i) for i in range(count)]
     data = [(x * (i + 1) + i, y) for i, (x, y) in enumerate(data)]
-    models = train_mlps([x for x, _ in data], [y for _, y in data], specs)
+    models = train_mlps([x for x, _ in data], [y for _, y in data], base, STACK_SEEDS[count])
     assert len(models) == count
     for model, (x, y), spec in zip(models, data, specs):
         assert model.kind == "mlp" and model.dim == 4
@@ -391,18 +391,13 @@ def test_stacked_mlps_reject_mismatched_or_missing_datasets():
     (xa, ya), (xb, yb) = separated_data(40, n=30), separated_data(41, n=31)
     spec = MlpSpec(epochs=1)
     with pytest.raises(ValueError, match="share one shape"):
-        train_mlps([xa, xb], [ya, yb], [spec, spec])
+        train_mlps([xa, xb], [ya, yb], spec, [0, 0])
     with pytest.raises(ValueError, match="no datasets"):
-        train_mlps([], [], [])
-    with pytest.raises(ValueError, match="got 1 specs for 2 datasets"):
-        train_mlps([xa, xa], [ya, ya], [spec])
-    with pytest.raises(ValueError, match="got 3 specs for 2 datasets"):
-        train_mlps([xa, xa], [ya, ya], [spec] * 3)
-    for field, value in (("hidden_units", 5), ("epochs", 2), ("learning_rate", 0.5),
-                         ("batch_size", 8)):
-        other = dataclasses.replace(spec, seed=7, **{field: value})
-        with pytest.raises(ValueError, match=f"differ only in seed, got {field} values"):
-            train_mlps([xa, xa], [ya, ya], [spec, other])
+        train_mlps([], [], spec, [])
+    with pytest.raises(ValueError, match="got 1 seeds for 2 datasets"):
+        train_mlps([xa, xa], [ya, ya], spec, [0])
+    with pytest.raises(ValueError, match="got 3 seeds for 2 datasets"):
+        train_mlps([xa, xa], [ya, ya], spec, [0, 1, 2])
 
 
 # ---------------------------------------------------------------- predict
