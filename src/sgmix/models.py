@@ -211,10 +211,16 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    # exp(-|s|) cannot overflow, and -|s| is exact, so each side of the
-    # where is bit for bit the usual split formula.
+    """Logistic function of s, as a new array.
+
+    exp(-|s|) cannot overflow, and -|s| is exact, so 1 / (1 + e) where
+    s >= 0 and e / (1 + e) elsewhere is bit for bit the usual split formula;
+    the numerator is picked first, so 1 + e and the divide run once.
+    """
     e = np.exp(-np.abs(s))
-    return np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(s >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
 
 
 def init_mlp_params(dim: int, hidden: int, stream: RngStream) -> dict[str, np.ndarray]:
@@ -227,35 +233,50 @@ def init_mlp_params(dim: int, hidden: int, stream: RngStream) -> dict[str, np.nd
     }
 
 
-def _mlp_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray):
-    """Output logits and mean cross-entropy gradients for every weight.
+def _mlp_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray,
+               out: dict[str, np.ndarray]) -> np.ndarray:
+    """Write mean cross-entropy gradients for every weight into out; return the logits.
 
     Works on one model (xb of shape (B, d)) or a stack of models (every
     array with a leading model axis, xb of shape (A, B, d)); each stacked
     slice gets the same products and element-wise steps as a single model.
+    out maps each key of params to a preallocated float64 array of that
+    weight's shape; it must share no memory with params, xb or yb, and
+    each of its arrays is overwritten in full.
     """
-    a = xb @ params["W1"] + params["b1"][..., None, :]
+    a = xb @ params["W1"]
+    a += params["b1"][..., None, :]
     h = np.maximum(a, 0.0)
     s = (h @ params["w2"][..., None])[..., 0] + params["b2"]
-    coef = (_sigmoid(s) - yb) / xb.shape[-2]
-    da = (coef[..., None] * params["w2"][..., None, :]) * (a > 0)
-    grads = {
-        "W1": xb.swapaxes(-1, -2) @ da,
-        "b1": da.sum(axis=-2),
-        "w2": (h.swapaxes(-1, -2) @ coef[..., None])[..., 0],
-        "b2": coef.sum(axis=-1, keepdims=True),
-    }
-    return s, grads
+    coef = _sigmoid(s)
+    coef -= yb
+    coef /= xb.shape[-2]
+    da = coef[..., None] * params["w2"][..., None, :]
+    da *= a > 0
+    np.matmul(xb.swapaxes(-1, -2), da, out=out["W1"])
+    da.sum(axis=-2, out=out["b1"])
+    np.matmul(h.swapaxes(-1, -2), coef[..., None], out=out["w2"][..., None])
+    coef.sum(axis=-1, keepdims=True, out=out["b2"])
+    return s
 
 
 def mlp_loss_and_grads(params: dict[str, np.ndarray], xb: np.ndarray, yb: np.ndarray):
     """Mean binary cross-entropy on logits, plus gradients for every weight.
 
     The loss is written as softplus(s) - y*s, which is exact and avoids
-    overflow for large |s|.
+    overflow for large |s|. The gradients are new arrays.
     """
-    s, grads = _mlp_grads(params, xb, yb)
+    grads = {key: np.empty_like(value, dtype=np.float64) for key, value in params.items()}
+    s = _mlp_grads(params, xb, yb, grads)
     return float(np.mean(np.logaddexp(0.0, s) - yb * s)), grads
+
+
+def _split_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of an (A, P) buffer as one (A, *shape) array per key, in order."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
+    return {key: part.reshape(flat.shape[:1] + shape)
+            for (key, shape), part in zip(shapes.items(), parts)}
 
 
 def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
@@ -267,6 +288,11 @@ def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
     The datasets must share one shape. Every model takes spec's settings and
     its own seed from seeds, which draws its initial weights and shuffled row
     order, so each comes out exactly as if it were trained alone.
+
+    All A models' weights live in one (A, P) buffer and their gradients in
+    another, each seen per key through views, so a step is one gradient
+    call and two whole-buffer updates. Each epoch's shuffled orders are
+    offset into the stacked rows, so a batch of every model is one take.
     """
     data = [_check_xy(x, y) for x, y in zip(xs, ys, strict=True)]
     seeds = list(seeds)
@@ -279,24 +305,28 @@ def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
         raise ValueError(f"datasets must share one shape, got {shapes}")
     n, d = shapes[0]
     scalers = [feature_standardizer(x) for x, _ in data]
-    xz = np.stack([(x - mean) / std for (x, _), (mean, std) in zip(data, scalers)])
-    yf = np.stack([y for _, y in data]).astype(np.float64)
+    xz = np.concatenate([(x - mean) / std for (x, _), (mean, std) in zip(data, scalers)])
+    yf = np.concatenate([y for _, y in data]).astype(np.float64)
 
     inits = [init_mlp_params(d, spec.hidden_units,
                              RngStream(seed, (STREAM_OFFSETS["model-init"],))) for seed in seeds]
-    params = {key: np.stack([init[key] for init in inits]) for key in inits[0]}
+    keys = {key: value.shape for key, value in inits[0].items()}
+    flat = np.stack([np.concatenate([init[key].ravel() for key in keys]) for init in inits])
+    grad_flat = np.empty_like(flat)
+    params, grads = _split_views(flat, keys), _split_views(grad_flat, keys)
     shuffles = [RngStream(seed, (STREAM_OFFSETS["batch-shuffle"],)) for seed in seeds]
-    models = np.arange(len(data))[:, None]
+    rows = np.arange(len(data))[:, None] * n
     # A too-large rate overflows the weights to inf and then nan; predict
     # reports that with a ValueError, so numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(spec.epochs):
             order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
+            order += rows
             for start in range(0, n, spec.batch_size):
                 batch = order[:, start:start + spec.batch_size]
-                _, grads = _mlp_grads(params, xz[models, batch], yf[models, batch])
-                for key, grad in grads.items():
-                    params[key] -= spec.learning_rate * grad
+                _mlp_grads(params, xz.take(batch, axis=0), yf.take(batch), grads)
+                grad_flat *= spec.learning_rate
+                flat -= grad_flat
     return [
         TrainedModel(kind="mlp", dim=d, params={
             **{key: value[i].copy() for key, value in params.items()},

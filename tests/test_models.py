@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from sgmix.cli import config_from_settings
 from sgmix.data import feature_standardizer
 from sgmix.models import (
     TrainedModel,
+    _mlp_grads,
     _sigmoid,
+    _split_views,
     init_mlp_params,
     mlp_loss_and_grads,
     train_mlps,
@@ -355,6 +358,8 @@ def assert_same_params(got, expected):
     for key, value in expected.items():
         assert got[key].shape == value.shape and got[key].dtype == value.dtype, key
         assert np.array_equal(got[key], value), key
+        # array_equal treats -0.0 as 0.0; the bytes also pin each zero's sign.
+        assert got[key].tobytes() == value.tobytes(), key
 
 
 @pytest.mark.parametrize("shape", [(64,), (4, 32)], ids=["1d", "stacked"])
@@ -375,16 +380,71 @@ STACK_SEEDS = {1: [21], 4: [21, 5, 21, 8], 10: [3, 3, 3, 9, 9, 1, 4, 3, 9, 0]}
 
 @pytest.mark.parametrize("count", sorted(STACK_SEEDS))
 def test_stacked_mlps_match_one_at_a_time_reference(count):
-    base = MlpSpec(hidden_units=7, epochs=4, batch_size=16)
-    specs = [dataclasses.replace(base, seed=seed) for seed in STACK_SEEDS[count]]
     data = [separated_data(30 + i, n=101, d=4, margin=0.5 + i) for i in range(count)]
     data = [(x * (i + 1) + i, y) for i, (x, y) in enumerate(data)]
-    models = train_mlps([x for x, _ in data], [y for _, y in data], base, STACK_SEEDS[count])
-    assert len(models) == count
-    for model, (x, y), spec in zip(models, data, specs):
-        assert model.kind == "mlp" and model.dim == 4
-        assert_same_params(model.params, reference_mlp(x, y, spec))
-    assert_same_params(train_mlp(*data[0], specs[0]).params, models[0].params)
+    # Over 101 rows: 16 leaves a last batch of 5, 25 a last batch of 1, and
+    # 500 puts every row in one batch.
+    for batch_size in (16, 1, 25, 500):
+        base = MlpSpec(hidden_units=7, epochs=4, batch_size=batch_size)
+        specs = [dataclasses.replace(base, seed=seed) for seed in STACK_SEEDS[count]]
+        models = train_mlps([x for x, _ in data], [y for _, y in data], base, STACK_SEEDS[count])
+        assert len(models) == count
+        for model, (x, y), spec in zip(models, data, specs):
+            assert model.kind == "mlp" and model.dim == 4
+            assert_same_params(model.params, reference_mlp(x, y, spec))
+        assert_same_params(train_mlp(*data[0], specs[0]).params, models[0].params)
+
+
+def test_stacked_grads_into_shared_buffer_match_one_model_bytes():
+    rng = np.random.default_rng(60)
+    count, batch, d, hidden = 3, 9, 4, 5
+    inits = [init_mlp_params(d, hidden, RngStream(seed, (5,))) for seed in range(count)]
+    params = {key: np.stack([init[key] for init in inits]) for key in inits[0]}
+    xb = rng.standard_normal((count, batch, d))
+    yb = rng.integers(0, 2, size=(count, batch)).astype(np.float64)
+    # One (A, P) buffer, seen per key through row-slice views, as train_mlps uses it.
+    flat = np.full((count, sum(value[0].size for value in params.values())), np.nan)
+    out = _split_views(flat, {key: value.shape[1:] for key, value in params.items()})
+    assert all(np.shares_memory(view, flat) for view in out.values())
+    s = _mlp_grads(params, xb, yb, out)
+    for i in range(count):
+        one = {key: value[i] for key, value in params.items()}
+        loss, grads = mlp_loss_and_grads(one, xb[i], yb[i])
+        _, again = mlp_loss_and_grads(one, xb[i], yb[i])
+        assert math.isfinite(loss)
+        for key, grad in grads.items():
+            assert out[key][i].tobytes() == grad.tobytes(), key
+            assert not np.shares_memory(grad, one[key]), key
+            for other in again.values():
+                assert not np.shares_memory(grad, other), key
+        logits = _mlp_grads(one, xb[i], yb[i], {key: np.empty_like(v) for key, v in one.items()})
+        assert s[i].tobytes() == logits.tobytes()
+
+
+def test_stacked_mlps_return_weights_that_share_no_memory():
+    data = [separated_data(70 + i, n=40, d=3) for i in range(3)]
+    models = train_mlps([x for x, _ in data], [y for _, y in data], MlpSpec(epochs=2), [0, 1, 0])
+    arrays = [value for model in models for key, value in model.params.items()
+              if key not in ("mean", "std")]
+    assert len(arrays) == 12
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_stacked_mlps_peak_memory_stays_near_the_stacked_features():
+    # A grid fit's shape. Gathering a whole epoch's shuffled rows at once
+    # would keep two more feature-sized copies alive and peak near 3.7x.
+    data = [separated_data(80 + i, n=916, d=10) for i in range(10)]
+    feature_bytes = sum(x.nbytes for x, _ in data)
+    xs, ys = [x for x, _ in data], [y for _, y in data]
+    tracemalloc.start()
+    try:
+        train_mlps(xs, ys, MlpSpec(epochs=2), range(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * feature_bytes, peak / feature_bytes
 
 
 def test_stacked_mlps_reject_mismatched_or_missing_datasets():
