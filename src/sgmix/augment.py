@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SubgroupKey, concat, feature_standardizer, subgroup_indices
+from .data import Dataset, SubgroupKey, check_int64, concat, feature_standardizer, subgroup_indices
 from .neighbors import knn_in_subgroup
 from .rng import RngStream, beta_sample
 
@@ -66,10 +66,11 @@ class FsgmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", check_pairs(self.pairs))
+        check_int64(self, "new_count", "k")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.new_count < 1:
             raise ValueError(f"new_count must be >= 1, got {self.new_count}")
 

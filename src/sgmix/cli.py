@@ -58,10 +58,10 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _spec_settings(prefix: str, spec) -> dict:
-    """One int or float setting per spec field, except the derived seed."""
+    """One int or float setting per spec field."""
     return {
         f"{prefix}.{f.name}": (prefix, f.name, float if f.type in ("float", float) else int)
-        for f in dataclasses.fields(spec) if f.name != "seed"
+        for f in dataclasses.fields(spec)
     }
 
 

@@ -15,7 +15,6 @@ own seeds, so a model comes out as when its cell runs alone (`run_method`).
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,10 +120,6 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("forest", "mlp"):
-            if getattr(self, name).seed != 0:
-                raise ValueError(f"{name}.seed must be 0, got {getattr(self, name).seed}: "
-                                 "every fit derives its seed from experiment.seed")
         for name in ("test_fraction", "validation_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -235,17 +230,12 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
     return train, test
 
 
-def _model_spec(model_kind: str, config: ExperimentConfig, seed: int):
-    specs = {"forest": config.forest, "mlp": config.mlp}
-    if model_kind not in specs:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    return dataclasses.replace(specs[model_kind],
-                               seed=derive_seed(seed, STREAM_OFFSETS["model-init"]))
-
-
 def _train_model(data: Dataset, model_kind: str, config: ExperimentConfig, seed: int):
-    train = train_forest if model_kind == "forest" else train_mlp
-    return train(data.x, data.y, _model_spec(model_kind, config, seed))
+    fits = {"forest": (train_forest, config.forest), "mlp": (train_mlp, config.mlp)}
+    if model_kind not in fits:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    train, spec = fits[model_kind]
+    return train(data.x, data.y, spec, derive_seed(seed, STREAM_OFFSETS["model-init"]))
 
 
 def _augment(train: Dataset, method: str, config: ExperimentConfig, seed: int,
@@ -319,7 +309,7 @@ def _fit_and_score(jobs, config: ExperimentConfig, failures: dict) -> dict:
         try:
             stacked = dict(zip(mlp, train_mlps(
                 [jobs[i][1].x for i in mlp], [jobs[i][1].y for i in mlp], config.mlp,
-                [_model_spec("mlp", config, jobs[i][2]).seed for i in mlp])))
+                [derive_seed(jobs[i][2], STREAM_OFFSETS["model-init"]) for i in mlp])))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures.update((jobs[i][0], exc) for i in mlp)
     results = {}

@@ -2,8 +2,8 @@
 
 Both train on a feature matrix and 0/1 labels alone; group labels are never
 an input, so predictions cannot depend on them except through the features.
-Training is deterministic given the spec seed: every tree and every SGD
-shuffle draws from a stream derived up front from that seed.
+Training is deterministic given the seed passed to the fit: every tree and
+every SGD shuffle draws from a stream derived up front from that seed.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class ForestSpec:
     max_depth: int = 8
     min_leaf: int = 2
     features_per_split: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         check_int64(self, "n_trees", "max_depth", "min_leaf", "features_per_split")
@@ -46,7 +45,6 @@ class MlpSpec:
     epochs: int = 200
     learning_rate: float = 0.01
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         check_int64(self, "hidden_units", "epochs", "batch_size")
@@ -179,8 +177,8 @@ def _tree_predict(node, x) -> np.ndarray:
     return out
 
 
-def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
-    """Fit bagged Gini trees; prediction is the majority vote."""
+def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> TrainedModel:
+    """Fit bagged Gini trees, each drawn from seed; prediction is the majority vote."""
     x, y = _check_xy(x, y)
     d = x.shape[1]
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
@@ -197,7 +195,7 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec()) -> TrainedModel:
     trees = []
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
-        stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
+        stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.integers(0, n, size=n)
         counts = np.bincount(rows, minlength=n)
         idx = np.repeat(order.ravel(), counts[order].ravel()).reshape(d, -1)
@@ -336,9 +334,9 @@ def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
     ]
 
 
-def train_mlp(x, y, spec: MlpSpec = MlpSpec()) -> TrainedModel:
+def train_mlp(x, y, spec: MlpSpec = MlpSpec(), seed: int = 0) -> TrainedModel:
     """Fit one MLP; the one-dataset case of `train_mlps`."""
-    return train_mlps([x], [y], spec, [spec.seed])[0]
+    return train_mlps([x], [y], spec, [seed])[0]
 
 
 # ---------------------------------------------------------------- shared

@@ -44,12 +44,12 @@ class RngStream(np.random.Generator):
 def beta_sample(stream: RngStream, alpha: float) -> float:
     """Draw one value from Beta(alpha, alpha) via two Gamma(alpha) variates.
 
-    The gamma-ratio construction stays valid for every alpha > 0, including
-    alpha < 1 where the density is unbounded at the endpoints.
+    The gamma-ratio construction stays valid for every finite alpha > 0,
+    including alpha < 1 where the density is unbounded at the endpoints.
     """
     alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     g1 = stream.gamma(alpha)
     g2 = stream.gamma(alpha)
     while g1 + g2 == 0.0:  # underflow guard for tiny alpha

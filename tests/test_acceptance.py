@@ -310,7 +310,7 @@ def test_model_sanity():
     base = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     x = np.tile(base, (25, 1)) + np.random.default_rng(804).normal(0, 0.05, (100, 2))
     y = np.tile([0, 1, 1, 0], 25)
-    mlp = train_mlp(x, y, MlpSpec(seed=0))
+    mlp = train_mlp(x, y, MlpSpec())
     xor_acc = accuracy(predict(mlp, x), y)
     if xor_acc < 0.95:
         problems.append(f"XOR training accuracy {xor_acc:.4f} < 0.95")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -239,10 +241,16 @@ def test_fsgm_config_validation():
         FsgmConfig(pairs=(((5, 5), (0, 0)),), new_count=1)
     with pytest.raises(ValueError, match="k must be"):
         FsgmConfig(pairs=(pair,), new_count=1, k=0)
-    with pytest.raises(ValueError, match="alpha"):
-        FsgmConfig(pairs=(pair,), new_count=1, alpha=0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            FsgmConfig(pairs=(pair,), new_count=1, alpha=alpha)
     with pytest.raises(ValueError, match="new_count"):
         FsgmConfig(pairs=(pair,), new_count=0)
+    # Sizes past int64 are config errors, not augment-time failures or hangs.
+    with pytest.raises(ValueError, match="new_count must fit in int64"):
+        FsgmConfig(pairs=(pair,), new_count=10**20)
+    with pytest.raises(ValueError, match="k must fit in int64"):
+        FsgmConfig(pairs=(pair,), new_count=1, k=10**20)
 
 
 def test_fsgm_standardization_can_flip_neighbor():

@@ -6,8 +6,9 @@ so the wrap sites are checked here.
 import importlib.util
 from pathlib import Path
 
-from sgmix import augment
+from sgmix import augment, harness
 from sgmix.data import SubgroupKey, subgroup_indices
+from sgmix.models import ForestSpec, MlpSpec
 
 from conftest import random_dataset
 
@@ -36,3 +37,18 @@ def test_tracer_wraps_every_site_and_binds_knn_arguments():
     knn = tracer.counts["neighbors.knn_in_subgroup"]
     assert knn["dist_evals"] == report.lambda_draws * members == 2 * members
     assert tracer.counts["augment.fsgm_augment"]["samples"] == 4
+
+
+def test_tracer_binds_model_fit_arguments():
+    ds = random_dataset(1, t=50, d=3)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        harness.train_forest(ds.x, ds.y, ForestSpec(n_trees=3), 7)
+        harness.train_mlp(ds.x, ds.y, MlpSpec(epochs=2, batch_size=16), 7)
+    finally:
+        tracer.uninstall()
+    forest, mlp = tracer.counts["models.train_forest"], tracer.counts["models.train_mlp"]
+    assert forest["fits"] == 1 and forest["row_trees"] == 50 * 3
+    assert mlp["fits"] == 1 and mlp["sgd_steps"] == 2 * 4  # ceil(50 / 16) batches per epoch

@@ -148,15 +148,17 @@ def test_cli_requires_out():
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("experiment.turbo = yes\n")
-    code = main([
-        "--config", str(cfg),
-        "--scenario", "unbalanced-groups",
-        "--out", str(tmp_path / "r.csv"),
-    ])
-    assert code == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # A fit's seed derives from experiment.seed; the specs have no seed key.
+    for line in ("experiment.turbo = yes", "forest.seed = 3", "mlp.seed = 3"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main([
+            "--config", str(cfg),
+            "--scenario", "unbalanced-groups",
+            "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_method(tmp_path):

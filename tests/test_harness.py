@@ -48,8 +48,8 @@ def small_config(**overrides):
         alpha_grid=(1.0,),
         seed=0,
         k=3,
-        forest=ForestSpec(n_trees=10, seed=0),
-        mlp=MlpSpec(hidden_units=4, epochs=5, seed=0),
+        forest=ForestSpec(n_trees=10),
+        mlp=MlpSpec(hidden_units=4, epochs=5),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -209,7 +209,7 @@ def test_alpha_search_tie_breaks_to_smallest():
     config = small_config(
         alpha_grid=(0.5, 1.0, 2.0),
         pairs=BOTH_WAY_PAIRS,
-        forest=ForestSpec(n_trees=10, min_leaf=1, seed=0),
+        forest=ForestSpec(n_trees=10, min_leaf=1),
     )
     found, failures = alpha_search(train, [("fsgm", "forest", 5)], config)
     assert failures == {}
@@ -222,7 +222,7 @@ def test_alpha_search_tie_breaks_to_smallest():
 def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch):
     train = random_dataset(12, t=80, d=3)
     config = small_config(alpha_grid=(4.0, 0.5, 2.0), pairs=BOTH_WAY_PAIRS,
-                          mlp=MlpSpec(hidden_units=8, epochs=3, seed=0))
+                          mlp=MlpSpec(hidden_units=8, epochs=3))
     seed = 13
     scored = []
 
@@ -353,7 +353,7 @@ def test_failing_mlps_make_one_error_row_per_mlp_cell(mlp_failure, monkeypatch):
     settings = dict(methods=METHODS, models=("forest", "mlp"), alpha_grid=(0.5, 2.0))
     clean = run_experiment(small_config(**settings))
     if mlp_failure == "diverged":
-        settings["mlp"] = MlpSpec(hidden_units=4, epochs=5, learning_rate=1e300, seed=0)
+        settings["mlp"] = MlpSpec(hidden_units=4, epochs=5, learning_rate=1e300)
         exc_type, message = "ValueError", "lower mlp.learning_rate"
     else:
         def broken_train_mlps(xs, ys, spec, seeds):
@@ -373,9 +373,9 @@ def test_cell_failing_its_first_grid_score_fits_none_of_its_later_models(monkeyp
     config = small_config(methods=METHODS, alpha_grid=(0.5, 1.0, 2.0))
     fits = []
 
-    def counting_train_forest(x, y, spec):
+    def counting_train_forest(x, y, spec, seed):
         fits.append(spec)
-        return train_forest(x, y, spec)
+        return train_forest(x, y, spec, seed)
 
     monkeypatch.setattr("sgmix.harness.train_forest", counting_train_forest)
     clean = run_experiment(config)
@@ -502,9 +502,9 @@ def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path, monke
     config = small_config(dump_augmented=str(tmp_path / "missing" / "aug.csv"))
     fits = []
 
-    def counting_train_forest(x, y, spec):
+    def counting_train_forest(x, y, spec, seed):
         fits.append(spec)
-        return train_forest(x, y, spec)
+        return train_forest(x, y, spec, seed)
 
     monkeypatch.setattr("sgmix.harness.train_forest", counting_train_forest)
     table = run_experiment(config)
@@ -522,10 +522,10 @@ def test_no_forest_outlives_its_score(monkeypatch):
     config = small_config(methods=METHODS, alpha_grid=(0.5, 2.0))
     refs, alive = [], []
 
-    def tracking_train_forest(x, y, spec):
+    def tracking_train_forest(x, y, spec, seed):
         # A list of refs, not a WeakSet: TrainedModel is unhashable.
         alive.append(sum(ref() is not None for ref in refs))
-        model = train_forest(x, y, spec)
+        model = train_forest(x, y, spec, seed)
         refs.append(weakref.ref(model))
         return model
 
@@ -557,12 +557,6 @@ def test_experiment_config_validation():
         ExperimentConfig(scenario="unbalanced-groups", methods=("original", "original"))
     with pytest.raises(ValueError, match="models must not repeat"):
         ExperimentConfig(scenario="unbalanced-groups", models=("forest", "forest"))
-    for name, spec in (("forest", ForestSpec(n_trees=5, seed=12345)),
-                       ("mlp", MlpSpec(epochs=3, seed=777))):
-        with pytest.raises(ValueError, match=(
-                rf"^{name}\.seed must be 0, got {spec.seed}: "
-                r"every fit derives its seed from experiment\.seed$")):
-            ExperimentConfig(scenario="unbalanced-groups", **{name: spec})
 
 
 @pytest.mark.parametrize("override", [

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -45,14 +44,14 @@ def test_forest_constant_labels_predict_constant():
 def test_forest_memorizes_separable_1d():
     x = np.array([[v] for v in (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)])
     y = np.array([0, 0, 0, 1, 1, 1])
-    model = train_forest(x, y, ForestSpec(n_trees=25, min_leaf=1, seed=1))
+    model = train_forest(x, y, ForestSpec(n_trees=25, min_leaf=1), 1)
     np.testing.assert_array_equal(predict(model, x), y)
 
 
 def test_forest_generalizes_on_separated_clusters():
     x, y = separated_data(2)
     xt, yt = separated_data(3)
-    model = train_forest(x, y, ForestSpec(n_trees=30, seed=0))
+    model = train_forest(x, y, ForestSpec(n_trees=30))
     assert np.mean(predict(model, xt) == yt) >= 0.95
 
 
@@ -72,17 +71,17 @@ def tree_depth(node):
 
 def test_forest_respects_max_depth():
     x, y = separated_data(4, n=300, d=5, margin=0.3)  # noisy, forces deep growth
-    spec = ForestSpec(n_trees=10, max_depth=3, min_leaf=1, seed=2)
-    model = train_forest(x, y, spec)
+    spec = ForestSpec(n_trees=10, max_depth=3, min_leaf=1)
+    model = train_forest(x, y, spec, 2)
     assert all(tree_depth(t) <= 3 for t in model.params["trees"])
 
 
 def test_forest_deterministic():
     x, y = separated_data(5)
-    a = train_forest(x, y, ForestSpec(n_trees=8, seed=7))
-    b = train_forest(x, y, ForestSpec(n_trees=8, seed=7))
+    a = train_forest(x, y, ForestSpec(n_trees=8), 7)
+    b = train_forest(x, y, ForestSpec(n_trees=8), 7)
     assert a.params == b.params
-    c = train_forest(x, y, ForestSpec(n_trees=8, seed=8))
+    c = train_forest(x, y, ForestSpec(n_trees=8), 8)
     xt, _ = separated_data(6, margin=0.0)
     assert not np.array_equal(predict(a, xt), predict(c, xt)) or a.params != c.params
 
@@ -145,13 +144,13 @@ def _ref_grow_tree(x, y, rows, spec, m, stream, depth, no_split):
     }
 
 
-def reference_forest(x, y, spec, no_split):
+def reference_forest(x, y, spec, seed, no_split):
     """Per-node, per-feature argsort trees with the same RNG draws as train_forest."""
     d = x.shape[1]
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
     trees = []
     for t in range(spec.n_trees):
-        stream = RngStream(spec.seed, (STREAM_OFFSETS["model-init"], t))
+        stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.integers(0, x.shape[0], size=x.shape[0])
         trees.append(_ref_grow_tree(x, y, rows, spec, m, stream, 0, no_split))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
@@ -194,9 +193,9 @@ def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, ma
     for seed, (x, y) in enumerate([tied_data(0), tied_data(1), tied_data(2),
                                    midpoint_rounding_data(), bootstrap_ties_data()]):
         spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
-                          features_per_split=features_per_split, seed=seed)
-        model = train_forest(x, y, spec)
-        reference = reference_forest(x, y, spec, no_split)
+                          features_per_split=features_per_split)
+        model = train_forest(x, y, spec, seed)
+        reference = reference_forest(x, y, spec, seed, no_split)
         assert model.params == reference.params
     assert no_split  # some impure nodes had no valid split
 
@@ -214,9 +213,9 @@ def test_forest_leaf_children_match_per_node_sort_reference(max_depth, min_leaf)
     large min_leaf puts children under 2 * min_leaf rows."""
     depths = []
     for seed, (x, y) in enumerate([tied_data(0), tied_data(1), bootstrap_ties_data()]):
-        spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
-        model = train_forest(x, y, spec)
-        assert model.params == reference_forest(x, y, spec, []).params
+        spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf)
+        model = train_forest(x, y, spec, seed)
+        assert model.params == reference_forest(x, y, spec, seed, []).params
         depths += [d for tree in model.params["trees"] for d in leaf_depths(tree)]
     assert max(depths) >= min(max_depth, 2)  # some trees split, and twice where they may
     if max_depth == 8:
@@ -229,8 +228,8 @@ def test_forest_matches_per_node_sort_reference_on_bundled_csv(seed, standin_pat
     config, _ = config_from_settings(settings)
     data = load_csv(config.csv_path, config.csv_schema)
     x, y = data.x[:300], data.y[:300]
-    spec = ForestSpec(n_trees=4, seed=seed)
-    assert train_forest(x, y, spec).params == reference_forest(x, y, spec, []).params
+    spec = ForestSpec(n_trees=4)
+    assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
 
 
 def test_forest_input_validation():
@@ -269,20 +268,20 @@ def test_mlp_learns_xor():
     labels = np.array([0, 1, 1, 0])
     x = np.tile(base, (25, 1)) + np.random.default_rng(0).normal(0, 0.05, (100, 2))
     y = np.tile(labels, 25)
-    model = train_mlp(x, y, MlpSpec(seed=0))
+    model = train_mlp(x, y, MlpSpec())
     assert np.mean(predict(model, x) == y) >= 0.95
 
 
 def test_mlp_constant_labels():
     x = np.random.default_rng(1).standard_normal((40, 3))
-    model = train_mlp(x, np.ones(40, dtype=int), MlpSpec(epochs=20, seed=0))
+    model = train_mlp(x, np.ones(40, dtype=int), MlpSpec(epochs=20))
     np.testing.assert_array_equal(predict(model, x), np.ones(40, dtype=int))
 
 
 def test_mlp_deterministic():
     x, y = separated_data(7, n=80)
-    a = train_mlp(x, y, MlpSpec(epochs=10, seed=3))
-    b = train_mlp(x, y, MlpSpec(epochs=10, seed=3))
+    a = train_mlp(x, y, MlpSpec(epochs=10), 3)
+    b = train_mlp(x, y, MlpSpec(epochs=10), 3)
     for key in a.params:
         np.testing.assert_array_equal(
             np.asarray(a.params[key]), np.asarray(b.params[key])
@@ -334,14 +333,14 @@ def _ref_grads(params, xb, yb):
             "b2": np.array([coef.sum()])}
 
 
-def reference_mlp(x, y, spec):
+def reference_mlp(x, y, spec, seed):
     """One model at a time on 2-D batches, with copy-on-update weights."""
     mean, std = feature_standardizer(x)
     xs = (x - mean) / std
     yf = y.astype(np.float64)
     params = init_mlp_params(x.shape[1], spec.hidden_units,
-                             RngStream(spec.seed, (STREAM_OFFSETS["model-init"],)))
-    shuffle = RngStream(spec.seed, (STREAM_OFFSETS["batch-shuffle"],))
+                             RngStream(seed, (STREAM_OFFSETS["model-init"],)))
+    shuffle = RngStream(seed, (STREAM_OFFSETS["batch-shuffle"],))
     n = xs.shape[0]
     for _ in range(spec.epochs):
         order = shuffle.permutation(n)
@@ -385,14 +384,14 @@ def test_stacked_mlps_match_one_at_a_time_reference(count):
     # Over 101 rows: 16 leaves a last batch of 5, 25 a last batch of 1, and
     # 500 puts every row in one batch.
     for batch_size in (16, 1, 25, 500):
-        base = MlpSpec(hidden_units=7, epochs=4, batch_size=batch_size)
-        specs = [dataclasses.replace(base, seed=seed) for seed in STACK_SEEDS[count]]
-        models = train_mlps([x for x, _ in data], [y for _, y in data], base, STACK_SEEDS[count])
+        spec = MlpSpec(hidden_units=7, epochs=4, batch_size=batch_size)
+        seeds = STACK_SEEDS[count]
+        models = train_mlps([x for x, _ in data], [y for _, y in data], spec, seeds)
         assert len(models) == count
-        for model, (x, y), spec in zip(models, data, specs):
+        for model, (x, y), seed in zip(models, data, seeds):
             assert model.kind == "mlp" and model.dim == 4
-            assert_same_params(model.params, reference_mlp(x, y, spec))
-        assert_same_params(train_mlp(*data[0], specs[0]).params, models[0].params)
+            assert_same_params(model.params, reference_mlp(x, y, spec, seed))
+        assert_same_params(train_mlp(*data[0], spec, seeds[0]).params, models[0].params)
 
 
 def test_stacked_grads_into_shared_buffer_match_one_model_bytes():
@@ -496,8 +495,8 @@ def test_models_ignore_group_column_by_construction():
     z_a = np.zeros(60, dtype=int)
     z_b = np.ones(60, dtype=int)
     assert not np.array_equal(z_a, z_b)
-    a = train_forest(x, y, ForestSpec(n_trees=5, seed=0))
-    b = train_forest(x, y, ForestSpec(n_trees=5, seed=0))
+    a = train_forest(x, y, ForestSpec(n_trees=5))
+    b = train_forest(x, y, ForestSpec(n_trees=5))
     assert a.params == b.params
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def beta_draws(stream, alpha, n):
 
 def test_beta_rejects_bad_alpha():
     stream = RngStream(0)
-    for alpha in (0.0, -1.0):
+    for alpha in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha"):
             beta_sample(stream, alpha)
 
