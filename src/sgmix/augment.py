@@ -3,9 +3,11 @@
 The central routine, :func:`fsgm_augment`, draws a sample from a chosen
 source subgroup, finds its k nearest neighbors inside a chosen target
 subgroup, and emits convex combinations of the pair sharing one Beta-drawn
-mixing weight per source draw. Class and group labels of the new samples are
-the indicator of the interpolated label reaching 1/2, so each new point
-inherits the labels of whichever parent it lies closer to.
+mixing weight per source draw. It makes every draw first and then searches
+each pair's neighbors once, for all of that pair's source draws together.
+Class and group labels of the new samples are the indicator of the
+interpolated label reaching 1/2, so each new point inherits the labels of
+whichever parent it lies closer to.
 """
 from __future__ import annotations
 
@@ -14,7 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SubgroupKey, check_int64, concat, feature_standardizer, subgroup_indices
+from .data import (
+    Dataset, SubgroupKey, check_finite, check_int64, concat, feature_standardizer,
+    subgroup_indices,
+)
 from .neighbors import knn_in_subgroup
 from .rng import RngStream, beta_sample
 
@@ -66,7 +71,7 @@ class FsgmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", check_pairs(self.pairs))
-        check_int64(self, "new_count", "k")
+        check_int64(new_count=self.new_count, k=self.k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0 < self.alpha < np.inf:
@@ -130,10 +135,12 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     """Produce exactly config.new_count subgroup-mixup samples.
 
     Each batch: pick the next pair round-robin, draw a uniform source sample,
-    find its k nearest target-subgroup neighbors, draw one mixing weight, and
-    emit k mixed samples sharing that weight. The last of the
-    ceil(new_count / k) batches is truncated so the count is exact.
+    then one mixing weight, and emit k mixed samples sharing that weight, one
+    per nearest target-subgroup neighbor of the source. Every batch is drawn
+    first; then one neighbor search per pair covers all of its batches. The
+    last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
+    check_finite(dataset.x)
     source_members = {}
     for pair in config.pairs:
         src = subgroup_indices(dataset, pair.source)
@@ -153,21 +160,23 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     if config.standardize:
         mean, std = feature_standardizer(dataset.x)
         search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
+    n, k, stride = config.new_count, config.k, len(config.pairs)
+    batches = -(-n // k)
     stream = RngStream(config.seed)
-    draws = []
-    for b in range(-(-config.new_count // config.k)):
-        pair = config.pairs[b % len(config.pairs)]
-        members = source_members[pair]
-        i = members[stream.integers(members.size)]
-        nearest = knn_in_subgroup(search, search.x[i], pair.target, config.k)
-        draws.append((i, nearest, beta_sample(stream, config.alpha)))
-    sources, neighbors, lams = (np.array(column) for column in zip(*draws))
+    sources = np.empty(batches, dtype=np.int64)
+    lams = np.empty(batches)
+    for b in range(batches):
+        members = source_members[config.pairs[b % stride]]
+        sources[b] = members[stream.integers(members.size)]
+        lams[b] = beta_sample(stream, config.alpha)
+    neighbors = np.empty((batches, k), dtype=np.int64)
+    for p, pair in enumerate(config.pairs):
+        neighbors[p::stride] = knn_in_subgroup(search, search.x[sources[p::stride]], pair.target, k)
 
-    n, k = config.new_count, config.k
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(lams, k)[:n])
-    counts = np.bincount(np.arange(n) // k % len(config.pairs), minlength=len(config.pairs))
-    return AugmentationReport(produced, dict(zip(config.pairs, counts.tolist())), len(draws))
+    counts = np.bincount(np.arange(n) // k % stride, minlength=stride)
+    return AugmentationReport(produced, dict(zip(config.pairs, counts.tolist())), batches)
 
 
 def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> Dataset:
@@ -176,8 +185,10 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
     Every emission draws its own pair and its own mixing weight; group labels
     are mixed by the same indicator rule as class labels.
     """
+    check_int64(new_count=new_count)
     if new_count < 1:
         raise ValueError(f"new_count must be >= 1, got {new_count}")
+    check_finite(dataset.x)
     by_class = {c: np.nonzero(dataset.y == c)[0] for c in (0, 1)}
     for c in (0, 1):
         if by_class[c].size == 0:
@@ -199,6 +210,7 @@ def group_swap_augment(dataset: Dataset, new_count: int, seed: int) -> Dataset:
     """
     if len(dataset) == 0:
         raise ValueError("cannot augment an empty dataset")
+    check_int64(new_count=new_count)
     if new_count < 1:
         raise ValueError(f"new_count must be >= 1, got {new_count}")
     picks = RngStream(seed).integers(len(dataset), size=new_count)
@@ -209,6 +221,7 @@ def bootstrap(dataset: Dataset, total_size: int, seed: int) -> Dataset:
     """Original samples plus uniform-with-replacement copies up to total_size."""
     if len(dataset) == 0:
         raise ValueError("cannot bootstrap an empty dataset")
+    check_int64(total_size=total_size)
     if total_size < len(dataset):
         raise ValueError(
             f"total_size {total_size} is smaller than the dataset ({len(dataset)})"

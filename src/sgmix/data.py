@@ -105,15 +105,20 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
 
 
-def check_int64(owner, *names: str) -> None:
-    """Reject any of owner's named integer fields that does not fit in int64.
+def check_int64(**sizes) -> None:
+    """Reject any named integer that does not fit in int64.
 
     A size past int64 cannot describe a run that ends, so it is a config error.
     """
-    for name in names:
-        value = getattr(owner, name)
+    for name, value in sizes.items():
         if value is not None and not -2**63 <= value < 2**63:
             raise ValueError(f"{name} must fit in int64, got {value}")
+
+
+def check_finite(x: np.ndarray) -> None:
+    """Reject features that hold NaN or inf."""
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
 
 
 def feature_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

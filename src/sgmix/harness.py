@@ -115,7 +115,7 @@ class ExperimentConfig:
         for name in ("methods", "models", "alpha_grid"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
-        check_int64(self, "replicates", "k")
+        check_int64(replicates=self.replicates, k=self.k)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:

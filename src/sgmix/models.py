@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import check_int64, feature_standardizer
+from .data import check_finite, check_int64, feature_standardizer
 from .rng import STREAM_OFFSETS, RngStream
 
 
@@ -30,7 +30,8 @@ class ForestSpec:
     features_per_split: int | None = None
 
     def __post_init__(self):
-        check_int64(self, "n_trees", "max_depth", "min_leaf", "features_per_split")
+        check_int64(n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf,
+                    features_per_split=self.features_per_split)
         if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
             raise ValueError("n_trees, max_depth, and min_leaf must be positive")
         if self.features_per_split is not None and self.features_per_split < 1:
@@ -47,7 +48,8 @@ class MlpSpec:
     batch_size: int = 32
 
     def __post_init__(self):
-        check_int64(self, "hidden_units", "epochs", "batch_size")
+        check_int64(hidden_units=self.hidden_units, epochs=self.epochs,
+                    batch_size=self.batch_size)
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -72,8 +74,7 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("empty training set")
     if x.shape[1] == 0:
         raise ValueError("features must have at least one column, got 0")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
+    check_finite(x)
     if y.shape != (x.shape[0],):
         raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
     if not np.isin(y, (0, 1)).all():
@@ -351,8 +352,7 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if x.shape[1] != model.dim:
         raise ValueError(f"model expects {model.dim} features, got {x.shape[1]}")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
+    check_finite(x)
     if model.kind == "forest":
         votes = np.zeros(x.shape[0])
         for tree in model.params["trees"]:

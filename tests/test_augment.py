@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from sgmix import (
     preset_scenario,
     subgroup_counts,
 )
+from sgmix import neighbors
 from sgmix.augment import bootstrap, make_pair, vanilla_mixup
 from sgmix.data import SubgroupKey, subgroup_indices
 from sgmix.rng import RngStream, beta_sample
@@ -344,6 +349,40 @@ def test_fsgm_matches_per_row_oracle(seed, standardize):
     assert report.lambda_draws == batches == 5
 
 
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("case", ["three-row-blocks", "tied-features"])
+def test_fsgm_matches_per_row_oracle_across_blocks_and_ties(monkeypatch, case, standardize):
+    ds = scaled_dataset(4)
+    pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    if case == "three-row-blocks":
+        # a block holds at most 3 source draws, so each pair's 10 draws span 4 blocks
+        smallest = min(subgroup_indices(ds, target).size for _, target in pairs)
+        monkeypatch.setattr(neighbors, "_BLOCK_VALUES", 3 * smallest * ds.dim)
+    else:  # one decimal on two features, so neighbor distances tie
+        ds = random_dataset(4, t=90, d=2)
+        ds = Dataset(np.round(ds.x, 1), ds.y, ds.z)
+    cfg = FsgmConfig(pairs=pairs, new_count=100, k=5, alpha=0.6, seed=4,
+                     standardize=standardize)
+    report = fsgm_augment(ds, cfg)
+    x, y, z, counts, batches = oracle_fsgm(ds, cfg)
+    assert np.array_equal(report.produced.x, x)
+    assert np.array_equal(report.produced.y, y)
+    assert np.array_equal(report.produced.z, z)
+    assert report.per_pair_counts == counts == dict(zip(cfg.pairs, (50, 50)))
+    assert report.lambda_draws == batches == 20
+
+
+def test_fsgm_with_more_pairs_than_batches():
+    # the second pair draws no batch, so its neighbor search gets no queries
+    ds = random_dataset(6, t=40, d=2)
+    cfg = FsgmConfig(pairs=(((0, 0), (1, 0)), ((1, 1), (0, 1))), new_count=3, k=3, seed=1)
+    report = fsgm_augment(ds, cfg)
+    x, _, _, counts, batches = oracle_fsgm(ds, cfg)
+    assert np.array_equal(report.produced.x, x)
+    assert report.per_pair_counts == counts == dict(zip(cfg.pairs, (3, 0)))
+    assert report.lambda_draws == batches == 1
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_vanilla_mixup_matches_per_row_oracle(seed):
     ds = scaled_dataset(seed)
@@ -447,3 +486,50 @@ def test_augmenter_empty_dataset_errors():
         group_swap_augment(empty, new_count=1, seed=0)
     with pytest.raises(ValueError):
         bootstrap(empty, total_size=1, seed=0)
+
+
+# ---------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_mixup_augmenters_reject_nonfinite_features(standardize):
+    # 40 rows, a NaN in a (0, 0) row and an inf in a (1, 0) row: without the
+    # check fsgm emitted NaN and inf rows (and, z-scored, numpy warnings)
+    ds = random_dataset(18, t=40, d=3)
+    x = ds.x.copy()
+    x[subgroup_indices(ds, SubgroupKey(0, 0))[1], 0] = np.nan
+    x[subgroup_indices(ds, SubgroupKey(1, 0))[2], 2] = np.inf
+    ds = Dataset(x, ds.y, ds.z)
+    cfg = FsgmConfig(pairs=(((0, 0), (1, 0)), ((1, 0), (0, 0))), new_count=60, k=5,
+                     standardize=standardize)
+    with pytest.raises(ValueError, match="features must be finite"):
+        fsgm_augment(ds, cfg)
+    with pytest.raises(ValueError, match="features must be finite"):
+        vanilla_mixup(ds, new_count=60, alpha=1.0, seed=0)
+
+
+def test_group_swap_and_bootstrap_reject_sizes_past_int64():
+    ds = random_dataset(19, t=10)
+    with pytest.raises(ValueError, match="new_count must fit in int64"):
+        group_swap_augment(ds, new_count=10**20, seed=0)
+    with pytest.raises(ValueError, match="total_size must fit in int64"):
+        bootstrap(ds, total_size=10**20, seed=0)
+
+
+def test_vanilla_mixup_rejects_a_count_past_int64_without_hanging():
+    # Run in a child process with a timeout: a draw loop over 10**20 rows
+    # would never end, so a regression fails here instead of hanging the suite.
+    code = (
+        "from sgmix import Dataset\n"
+        "from sgmix.augment import vanilla_mixup\n"
+        "ds = Dataset([[0.0], [1.0]], [0, 1], [0, 0])\n"
+        "try:\n"
+        "    vanilla_mixup(ds, 10**20, 1.0, 0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=10)
+    assert done.stdout.strip() == "new_count must fit in int64, got " + str(10**20)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sgmix import neighbors
 from sgmix.data import Dataset, SubgroupKey, feature_standardizer, subgroup_indices
 from sgmix.neighbors import knn_in_subgroup
 
@@ -82,3 +85,77 @@ def test_knn_validates_inputs():
         knn_in_subgroup(ds, ds.x[0], SubgroupKey(0, 0), k=0)
     with pytest.raises(ValueError, match="query"):
         knn_in_subgroup(ds, np.zeros(ds.dim + 1), SubgroupKey(0, 0), k=1)
+
+
+def full_sort_knn(ds, query, key, k):
+    """Sort every member by (distance, index), computed one member at a time."""
+    members = subgroup_indices(ds, key)
+    ranked = sorted((float(np.sqrt(((ds.x[m] - query) ** 2).sum())), m) for m in members)
+    return [m for _, m in ranked[:k]]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize("rounded", [False, True])
+def test_knn_block_matches_single_queries_and_full_sort(monkeypatch, rows_per_block, rounded):
+    ds = random_dataset(21, t=160, d=2 if rounded else 4)
+    if rounded:  # one decimal on a small grid, so distances tie at the k-th place
+        ds = Dataset(np.round(ds.x, 1), ds.y, ds.z)
+    key = SubgroupKey(1, 0)
+    members = subgroup_indices(ds, key)
+    if rows_per_block:  # block boundaries then fall inside the 37 queries
+        monkeypatch.setattr(neighbors, "_BLOCK_VALUES", rows_per_block * members.size * ds.dim)
+    queries = ds.x[:37]
+    ties_at_kth = 0
+    for k in (1, 5, members.size):
+        block = knn_in_subgroup(ds, queries, key, k)
+        assert block.shape == (37, k)
+        for q, row in zip(queries, block):
+            np.testing.assert_array_equal(row, knn_in_subgroup(ds, q, key, k))
+            np.testing.assert_array_equal(row, full_sort_knn(ds, q, key, k))
+            if k < members.size:
+                dist = np.sort(np.sqrt(((ds.x[members] - q) ** 2).sum(axis=1)))
+                ties_at_kth += dist[k - 1] == dist[k]
+    assert (ties_at_kth > 0) == rounded
+
+
+def test_knn_empty_block_and_bad_query_shapes():
+    ds = random_dataset(2, t=50, d=3)
+    key = SubgroupKey(0, 1)
+    out = knn_in_subgroup(ds, np.zeros((0, 3)), key, k=2)
+    assert out.shape == (0, 2) and out.dtype == np.int64
+    with pytest.raises(ValueError, match="query has shape"):
+        knn_in_subgroup(ds, np.zeros((2, 2, 3)), key, k=2)
+    with pytest.raises(ValueError, match="query has shape"):
+        knn_in_subgroup(ds, np.zeros((4, 2)), key, k=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_rejects_nonfinite_query_or_features(bad):
+    ds = random_dataset(4, t=40, d=2)
+    key = SubgroupKey(1, 1)
+    query = ds.x[:3].copy()
+    query[1, 0] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        knn_in_subgroup(ds, query, key, k=2)
+    x = ds.x.copy()
+    x[subgroup_indices(ds, key)[0], 1] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        knn_in_subgroup(Dataset(x, ds.y, ds.z), ds.x[0], key, k=2)
+
+
+def test_knn_block_search_peak_memory_stays_far_below_the_full_block():
+    # 500 queries against 500 members: one (500, 500, d) difference array
+    # would take 16 MB; blocks of queries keep the peak near one block.
+    stream = np.random.default_rng(5)
+    d = 8
+    x = stream.standard_normal((1000, d))
+    ds = Dataset(x, np.repeat([0, 1], 500), np.zeros(1000, dtype=int))
+    full_block_bytes = 500 * 500 * d * 8
+    tracemalloc.start()
+    try:
+        out = knn_in_subgroup(ds, x[500:], SubgroupKey(0, 0), k=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (500, 5)
+    assert peak < full_block_bytes / 8, peak / full_block_bytes
