@@ -55,6 +55,9 @@ METHODS = ("original", "fsgm", "vanilla-mixup", "group-swap")
 MODEL_KINDS = ("forest", "mlp")
 ALPHA_METHODS = ("fsgm", "vanilla-mixup")
 DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 4.0)
+# The origin tag of the T rows each method adds to the T "original" ones.
+ADDED_TAGS = {"original": "bootstrap", "fsgm": "fsgm", "vanilla-mixup": "vanilla",
+              "group-swap": "swap"}
 
 # Default interpolation directions per data source: which subgroups donate
 # samples and which they are pulled toward.
@@ -157,13 +160,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MethodRun:
-    """One augment-and-train pass: the model plus what it was trained on."""
+    """One augment-and-train pass: the model plus the 2T rows it was trained on."""
 
-    method: str
-    alpha: float | None
     model: TrainedModel
     train_data: Dataset
-    origins: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -239,43 +239,29 @@ def _train_model(data: Dataset, model_kind: str, config: ExperimentConfig, seed:
 
 
 def _augment(train: Dataset, method: str, config: ExperimentConfig, seed: int,
-             alpha: float | None) -> tuple[Dataset, tuple[str, ...]]:
-    """Grow train to exactly 2T rows; return them with a per-row origin tag."""
+             alpha: float | None) -> Dataset:
+    """Grow train to exactly 2T rows: its T rows, then T that the method adds."""
     t = len(train)
     aug_seed = derive_seed(seed, STREAM_OFFSETS["augmentation"])
     mix_alpha = FsgmConfig.alpha if alpha is None else alpha
     if method == "original":
         data = bootstrap(train, 2 * t, derive_seed(seed, STREAM_OFFSETS["bootstrap"]))
-        origins = ("original",) * t + ("bootstrap",) * t
     elif method == "fsgm":
-        report = fsgm_augment(
-            train,
-            FsgmConfig(
-                pairs=config.pairs,
-                new_count=t,
-                k=config.k,
-                alpha=mix_alpha,
-                seed=aug_seed,
-                standardize=config.standardize_knn,
-            ),
-        )
+        report = fsgm_augment(train, FsgmConfig(
+            pairs=config.pairs, new_count=t, k=config.k, alpha=mix_alpha, seed=aug_seed,
+            standardize=config.standardize_knn))
         data = concat(train, report.produced)
-        origins = ("original",) * t + ("fsgm",) * t
     elif method == "vanilla-mixup":
-        produced = vanilla_mixup(train, t, mix_alpha, aug_seed)
-        data = concat(train, produced)
-        origins = ("original",) * t + ("vanilla",) * t
+        data = concat(train, vanilla_mixup(train, t, mix_alpha, aug_seed))
     elif method == "group-swap":
-        produced = group_swap_augment(train, t, aug_seed)
-        data = concat(train, produced)
-        origins = ("original",) * t + ("swap",) * t
+        data = concat(train, group_swap_augment(train, t, aug_seed))
     else:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if len(data) != 2 * t:
         raise RuntimeError(
             f"budget parity violated: method {method} produced {len(data)} rows, expected {2 * t}"
         )
-    return data, origins
+    return data
 
 
 def run_method(
@@ -287,9 +273,8 @@ def run_method(
     alpha: float | None = None,
 ) -> MethodRun:
     """Augment to exactly 2T rows, then fit the requested model."""
-    data, origins = _augment(train, method, config, seed, alpha)
-    model = _train_model(data, model_kind, config, seed)
-    return MethodRun(method=method, alpha=alpha, model=model, train_data=data, origins=origins)
+    data = _augment(train, method, config, seed, alpha)
+    return MethodRun(model=_train_model(data, model_kind, config, seed), train_data=data)
 
 
 def _fit_and_score(jobs, config: ExperimentConfig, failures: dict) -> dict:
@@ -350,7 +335,7 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
                 train, config.validation_fraction,
                 derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
             )
-            jobs += [(cell, _augment(inner_train, method, config, inner_seed, alpha)[0],
+            jobs += [(cell, _augment(inner_train, method, config, inner_seed, alpha),
                       inner_seed, inner_val) for alpha in alphas]
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc
@@ -409,10 +394,12 @@ def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_see
             continue
         method, model_kind, seed = cell
         try:
-            data, origins = _augment(train, method, config, seed, alphas.get(cell))
+            data = _augment(train, method, config, seed, alphas.get(cell))
             # Dump before the fit: a failed dump fails its cell before any model trains.
             if config.dump_augmented and r == 0 and model_kind == config.models[0]:
-                dump_augmented_csv(_dump_path(config.dump_augmented, method), data, origins)
+                t = len(train)
+                dump_augmented_csv(_dump_path(config.dump_augmented, method), data,
+                                   ("original",) * t + (ADDED_TAGS[method],) * t)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc
             continue

@@ -95,9 +95,11 @@ def _best_split(xt, yf, sizes, idx, ones, features, min_leaf):
     in float64. idx is the node's (d, n) array of row indices: row r lists
     the node's rows sorted by feature r, tied values in row order. ones is
     the node's label-1 count, passed down from its parent. Thresholds are
-    midpoints between adjacent distinct sorted values. Ties on gain keep the
-    earlier candidate (feature scan order, then smaller split position),
-    which makes the tree deterministic.
+    midpoints t of adjacent sorted values below and above, kept only if
+    below <= t < above: a midpoint that overflows or rounds onto above is
+    skipped, so the left child is exactly the sorted prefix. Ties on gain
+    keep the earlier candidate (feature scan order, then smaller split
+    position), which makes the tree deterministic.
     Returns (feature, threshold, left child's size, left child's label-1
     count) or None.
     """
@@ -113,16 +115,19 @@ def _best_split(xt, yf, sizes, idx, ones, features, min_leaf):
     pl = ones_left / s
     pr = (float(ones) - ones_left) / s[::-1]
     weighted = (s2 * pl * (1 - pl) + s2[::-1] * pr * (1 - pr)) / n
-    gains = np.where(sv[:, lo:hi] < sv[:, lo + 1:hi + 1], parent - weighted, -np.inf)
+    below, above = sv[:, lo:hi], sv[:, lo + 1:hi + 1]
+    gains = np.where(below < above, parent - weighted, -np.inf)
     r, at = divmod(int(gains.argmax()), s.size)
+    b, a = float(below[r, at]), float(above[r, at])
+    if not b <= (b + a) / 2.0 < a:  # rare: checking the winner first spares most nodes a mask
+        with np.errstate(over="ignore"):
+            mid = (below + above) / 2.0
+        gains[(below > mid) | (mid >= above)] = -np.inf
+        r, at = divmod(int(gains.argmax()), s.size)
     if not gains[r, at] > 1e-12:
         return None
-    pos = at + min_leaf
-    thr = float((sv[r, pos - 1] + sv[r, pos]) / 2.0)
-    # The left child is the sorted prefix at or below thr; rounding can put
-    # thr on sv[r, pos], so count that prefix rather than trusting pos.
-    left = int(sv[r].searchsorted(thr, side="right"))
-    return int(features[r]), thr, left, int(csum[r, left - 1]) if left else 0
+    thr = (float(below[r, at]) + float(above[r, at])) / 2.0
+    return int(features[r]), thr, at + min_leaf, int(ones_left[r, at])
 
 
 def _leaf(n, ones, spec, depth):

@@ -46,14 +46,18 @@ def beta_sample(stream: RngStream, alpha: float) -> float:
 
     The gamma-ratio construction stays valid for every finite alpha > 0,
     including alpha < 1 where the density is unbounded at the endpoints.
+    If both draws underflow to 0, as at a tiny alpha, the pair is drawn once
+    more in log space: log Gamma(a) = log Gamma(a + 1) + log(U) / a.
     """
     alpha = float(alpha)
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    g1 = stream.gamma(alpha)
-    g2 = stream.gamma(alpha)
-    while g1 + g2 == 0.0:  # underflow guard for tiny alpha
-        g1 = stream.gamma(alpha)
-        g2 = stream.gamma(alpha)
-    return float(g1 / (g1 + g2))
+    g1, g2 = stream.gamma(alpha), stream.gamma(alpha)
+    if g1 + g2 > 0.0:
+        return float(g1 / (g1 + g2))
+    # U = 1 - random() lies in (0, 1]; g1 / (g1 + g2) = 1 / (1 + exp(log g2 - log g1)),
+    # and a difference past the float range gives exactly 0 or 1.
+    lg, lu = np.log(stream.gamma(alpha + 1.0, size=2)), np.log1p(-stream.random(2))
+    with np.errstate(over="ignore"):
+        return float(1.0 / (1.0 + np.exp((lu[1] - lu[0]) / alpha + (lg[1] - lg[0]))))
 

@@ -50,8 +50,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     """Parse a header-led CSV into a Dataset.
 
     Any row with an unparseable cell or a nan/inf feature is rejected; all
-    rejected rows are reported together in one error, each with its 1-based
-    file line number. A header may repeat only columns the schema does not read.
+    rejected rows are reported together in one error, each with the 1-based
+    file line it starts on. A header may repeat only columns the schema does not read.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -73,7 +73,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         group_pos = positions[schema.group_column]
 
         xs, ys, zs, bad = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        next_line = reader.line_num + 1  # quoted cells may span lines, so ask the reader
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue
             try:

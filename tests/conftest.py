@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sgmix import CsvSchema, Dataset
 from sgmix.rng import RngStream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 STANDIN_FEATURES = (
     "exam_score", "gpa", "first_year_score", "final_score",
@@ -40,3 +47,11 @@ def standin_path() -> str:
     from importlib import resources
 
     return str(resources.files("sgmix") / "data" / "admissions_standin.csv")
+
+
+def run_python(args, timeout: float) -> subprocess.CompletedProcess:
+    """Run `python *args` with this checkout's src on the path, in a child
+    process, so code that never ends fails its test at the timeout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)

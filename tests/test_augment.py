@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +21,7 @@ from sgmix.augment import bootstrap, make_pair, vanilla_mixup
 from sgmix.data import SubgroupKey, subgroup_indices
 from sgmix.rng import RngStream, beta_sample
 
-from conftest import random_dataset
+from conftest import random_dataset, run_python
 
 
 # ---------------------------------------------------------------- mix ops
@@ -528,8 +524,27 @@ def test_vanilla_mixup_rejects_a_count_past_int64_without_hanging():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=10)
+    done = run_python(["-c", code], timeout=10)
     assert done.stdout.strip() == "new_count must fit in int64, got " + str(10**20)
+
+
+@pytest.mark.parametrize("alpha", [1e-30, 5e-324])
+def test_mixup_augmenters_end_at_a_tiny_alpha(alpha):
+    # Both Gamma(alpha) draws underflow to 0 at such an alpha; a redraw loop
+    # would never end, so the child process's timeout fails a regression.
+    code = (
+        "import numpy as np\n"
+        "from sgmix import Dataset, FsgmConfig, fsgm_augment\n"
+        "from sgmix.augment import vanilla_mixup\n"
+        f"alpha = {alpha!r}\n"
+        "i = np.arange(60)\n"
+        "ds = Dataset(np.random.default_rng(5).standard_normal((60, 3)), i % 2, i // 2 % 2)\n"
+        "report = fsgm_augment(ds, FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=40, k=3,\n"
+        "                                     alpha=alpha, seed=2))\n"
+        "mixed = vanilla_mixup(ds, 40, alpha, 2)\n"
+        "for out in (report.produced, mixed):\n"
+        "    print(len(out), bool(np.isfinite(out.x).all()), sorted(set(out.y.tolist())))\n"
+    )
+    done = run_python(["-W", "error", "-c", code], timeout=30)
+    assert done.stderr == ""
+    assert done.stdout.splitlines() == ["40 True [0, 1]", "40 True [0, 1]"]

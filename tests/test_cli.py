@@ -1,9 +1,6 @@
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +11,7 @@ from sgmix.harness import RESULTS_HEADER
 from sgmix.synth import preset_scenario
 from sgmix.tabular import dump_augmented_csv
 
-from conftest import STANDIN_FEATURES, random_dataset
+from conftest import STANDIN_FEATURES, random_dataset, run_python
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -201,18 +198,30 @@ def test_cli_diverged_mlp_fails_its_cell_without_numpy_warnings(tmp_path):
     """Run as users do, with Python's default warning filters."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mlp.learning_rate = 1e300\nmlp.epochs = 5\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "sgmix.cli", "--config", str(cfg),
+    done = run_python(
+        ["-m", "sgmix.cli", "--config", str(cfg),
          "--scenario", "unbalanced-groups", "--methods", "original", "--models", "mlp",
-         "--replicates", "1", "--out", str(tmp_path / "results.csv")],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-    )
+         "--replicates", "1", "--out", str(tmp_path / "results.csv")], timeout=120)
     assert done.returncode == 1
     assert ("FAILED original x mlp replicate 0: ValueError: mlp weights diverged to a "
             "non-finite output; lower mlp.learning_rate") in done.stdout
     assert done.stderr == ""  # no numpy RuntimeWarning on the way
+
+
+def test_cli_run_at_a_tiny_alpha_ends(tmp_path):
+    """Every Gamma(1e-30) draw underflows to 0; the run must still end, here
+    within a child process's timeout, and raise no numpy warning."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(fast_config_text())
+    out = tmp_path / "results.csv"
+    done = run_python(
+        ["-W", "error", "-m", "sgmix.cli", "--config", str(cfg), "--scenario", "unbalanced-groups",
+         "--methods", "fsgm,vanilla-mixup", "--models", "forest", "--replicates", "1",
+         "--alpha-grid", "1e-30", "--out", str(out)], timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = out.read_text().split("\n")[1:-1]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["fsgm", "forest", "0", "0.000000"], ["vanilla-mixup", "forest", "0", "0.000000"]]
 
 
 def test_cli_dump_comes_before_the_fit_that_fails(tmp_path, capsys):

@@ -31,7 +31,7 @@ from sgmix.harness import (
 )
 from sgmix.models import train_forest, train_mlps
 from sgmix.rng import STREAM_OFFSETS, derive_seed
-from sgmix.tabular import dump_augmented_csv
+from sgmix.tabular import ORIGIN_TAGS, dump_augmented_csv
 
 from conftest import random_dataset
 
@@ -133,25 +133,33 @@ def test_run_method_budget_parity_all_methods():
         alpha = 1.0 if method in ("fsgm", "vanilla-mixup") else None
         run = run_method(train, method, "forest", config, seed=11, alpha=alpha)
         assert len(run.train_data) == 120
-        assert len(run.origins) == 120
-        assert run.origins[:60] == ("original",) * 60
-        np.testing.assert_array_equal(run.train_data.x[:60], train.x)
-        assert run.method == method and run.alpha == alpha
+        for part in ("x", "y", "z"):
+            np.testing.assert_array_equal(getattr(run.train_data, part)[:60], getattr(train, part))
         assert run.model.kind == "forest"
 
 
+def rows_of(data: Dataset, flip_z: bool = False) -> set:
+    return set(map(tuple, np.column_stack([data.x, data.y, data.z ^ flip_z]).tolist()))
+
+
 def test_run_method_origin_tags():
+    """The T added rows are what their dump tag names: a bootstrap draws
+    training rows, a group swap flips only z, and the mixups make new rows."""
     train = random_dataset(7, t=30, d=2)
     config = small_config(pairs=BOTH_WAY_PAIRS)
-    expected_tag = {
-        "original": "bootstrap",
-        "fsgm": "fsgm",
-        "vanilla-mixup": "vanilla",
-        "group-swap": "swap",
-    }
-    for method, tag in expected_tag.items():
+    for method in METHODS:
         run = run_method(train, method, "forest", config, seed=1, alpha=1.0)
-        assert set(run.origins[30:]) == {tag}
+        added = run.train_data.subset(np.arange(30, 60))
+        if method in ("original", "group-swap"):
+            assert rows_of(added, flip_z=method == "group-swap") <= rows_of(train)
+        else:
+            assert not rows_of(added) & rows_of(train)
+        assert run.model.kind == "forest"
+
+
+def test_added_tags_name_every_method_with_a_dump_tag():
+    assert tuple(harness.ADDED_TAGS) == METHODS
+    assert {"original", *harness.ADDED_TAGS.values()} <= set(ORIGIN_TAGS)
 
 
 def test_run_method_trains_requested_model_kind():
@@ -485,17 +493,28 @@ def test_run_experiment_csv_source(tmp_path):
 
 
 def test_run_experiment_dumps_augmented_training_sets(tmp_path):
+    """Each method's dump holds the training set, then the T rows it adds,
+    and equals the cell's run_method training set."""
     base = tmp_path / "aug.csv"
-    config = small_config(replicates=1, dump_augmented=str(base))
+    config = small_config(replicates=1, methods=METHODS, dump_augmented=str(base))
     run_experiment(config)
-    for method, tag in (("original", "bootstrap"), ("fsgm", "fsgm")):
-        dumped = tmp_path / f"aug.{method}.csv"
-        assert dumped.exists()
-        lines = dumped.read_text().strip().split("\n")
-        assert len(lines) == 161  # header + 2T rows
+    rep_seed = derive_seed(config.seed, 0)
+    train, _ = harness._replicate_data(config, None, rep_seed)
+    t = len(train)
+    for mi, method in enumerate(METHODS):
+        lines = (tmp_path / f"aug.{method}.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 2 * t == 161  # header + 2T rows
         assert lines[0].endswith(",y,z,origin")
-        tags = {line.rsplit(",", 1)[1] for line in lines[1:]}
-        assert tags == {"original", tag}
+        cells = [line.split(",") for line in lines[1:]]
+        tag = harness.ADDED_TAGS[method]
+        assert [c[-1] for c in cells] == ["original"] * t + [tag] * t
+        dumped = np.array([[float(v) for v in c[:-1]] for c in cells])
+        np.testing.assert_array_equal(dumped[:t], np.column_stack([train.x, train.y, train.z]))
+        alpha = config.alpha_grid[0] if method in harness.ALPHA_METHODS else None
+        run = run_method(train, method, "forest", config, derive_seed(rep_seed, 100 + mi, 0),
+                         alpha)
+        data = run.train_data
+        np.testing.assert_array_equal(dumped, np.column_stack([data.x, data.y, data.z]))
 
 
 def test_run_experiment_failed_dump_makes_its_cell_one_error_row(tmp_path, monkeypatch):

@@ -108,7 +108,9 @@ def _ref_best_split(x, y, rows, features, min_leaf):
         sv = vals[order]
         csum = np.cumsum(y[rows][order])
         s = np.arange(1, n)
-        valid = (sv[:-1] < sv[1:]) & (s >= min_leaf) & (n - s >= min_leaf)
+        with np.errstate(over="ignore"):
+            mid = (sv[:-1] + sv[1:]) / 2.0
+        valid = (sv[:-1] <= mid) & (mid < sv[1:]) & (s >= min_leaf) & (n - s >= min_leaf)
         if not valid.any():
             continue
         s = s[valid]
@@ -120,8 +122,7 @@ def _ref_best_split(x, y, rows, features, min_leaf):
         gains = parent - weighted
         at = int(np.argmax(gains))
         if gains[at] > 1e-12 and (best is None or gains[at] > best[0]):
-            pos = s[at]
-            best = (float(gains[at]), int(f), float((sv[pos - 1] + sv[pos]) / 2.0))
+            best = (float(gains[at]), int(f), float(mid[s[at] - 1]))
     return best
 
 
@@ -171,7 +172,7 @@ def tied_data(seed, n=160):
 
 def midpoint_rounding_data():
     """Adjacent doubles 1 - 2**-53 and 1.0: their midpoint rounds to 1.0, so
-    the split sends every row left and the right child is empty."""
+    that candidate would send every row left; the split search skips it."""
     x = np.column_stack([np.repeat([np.nextafter(1.0, 0.0), 1.0], 20), np.arange(40.0),
                          np.zeros(40), np.arange(40.0) % 3])
     return x, np.repeat([0, 1], 20)
@@ -230,6 +231,46 @@ def test_forest_matches_per_node_sort_reference_on_bundled_csv(seed, standin_pat
     x, y = data.x[:300], data.y[:300]
     spec = ForestSpec(n_trees=4)
     assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
+
+
+def overflow_data():
+    """Features near +-1.7e308: the midpoint of two same-sign values there
+    overflows to +-inf. Labels change at both overflowing gaps."""
+    big = np.repeat([-1.7e308, -1.6e308, 1.6e308, 1.7e308], 10)
+    return np.column_stack([big, np.arange(40.0) % 3]), np.repeat([0, 1, 1, 0], 10)
+
+
+def subnormal_data():
+    """Adjacent subnormals 5e-324 and 1e-323 (and their negatives): the
+    positive pair's midpoint rounds up onto 1e-323, the negative pair's
+    onto -1e-323, which is still a valid threshold."""
+    tiny = np.repeat([-1e-323, -5e-324, 5e-324, 1e-323], 10)
+    return np.column_stack([tiny, np.arange(40.0) % 3]), np.repeat([0, 1, 0, 1], 10)
+
+
+@pytest.mark.parametrize("data", [overflow_data, subnormal_data])
+def test_every_split_sends_left_exactly_the_rows_at_or_below_its_threshold(data):
+    """Replay each tree's bootstrap: both children of every split are
+    nonempty, the threshold is finite, and every leaf holds the majority
+    label of the rows that reach it."""
+    x, y = data()
+    spec = ForestSpec(n_trees=8, max_depth=8, min_leaf=1, features_per_split=2)
+    model = train_forest(x, y, spec, 3)
+    assert model.params == reference_forest(x, y, spec, 3, []).params
+    splits = 0
+    for t, tree in enumerate(model.params["trees"]):
+        stream = RngStream(3, (STREAM_OFFSETS["model-init"], t))
+        stack = [(tree, stream.integers(0, x.shape[0], size=x.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if "leaf" in node:
+                assert node["leaf"] == _ref_majority(y[rows])
+                continue
+            left = x[rows, node["feature"]] <= node["threshold"]
+            assert math.isfinite(node["threshold"]) and 0 < left.sum() < rows.size
+            stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
+            splits += 1
+    assert splits > 0
 
 
 def test_forest_input_validation():

@@ -7,6 +7,8 @@ import pytest
 
 from sgmix.rng import STREAM_OFFSETS, RngStream, beta_sample, derive_seed
 
+from conftest import run_python
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgmix"
 
 
@@ -58,6 +60,25 @@ def test_beta_always_in_unit_interval():
     for alpha in (0.01, 0.1, 1.0, 4.0):
         draws = beta_draws(stream, alpha, 5000)
         assert draws.min() >= 0.0 and draws.max() <= 1.0
+
+
+def test_beta_at_a_tiny_alpha_ends_in_the_unit_interval():
+    # Both Gamma draws underflow to 0 at these alphas; a redraw loop would
+    # never end, so the child process's timeout fails a regression.
+    code = (
+        "import numpy as np\n"
+        "from sgmix.rng import RngStream, beta_sample\n"
+        "for alpha in (1e-30, 5e-324):\n"
+        "    stream = RngStream(0)\n"
+        "    draws = np.array([beta_sample(stream, alpha) for _ in range(2000)])\n"
+        "    print(draws.min(), draws.max(), draws.mean())\n"
+    )
+    done = run_python(["-W", "error", "-c", code], timeout=30)
+    lines = done.stdout.splitlines()
+    assert done.stderr == "" and len(lines) == 2
+    for line in lines:
+        low, high, mean = map(float, line.split())
+        assert 0.0 <= low and high <= 1.0 and abs(mean - 0.5) < 0.05
 
 
 def test_beta_uniform_case_mean():

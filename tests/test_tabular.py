@@ -105,6 +105,28 @@ def test_load_csv_reports_all_bad_rows_with_line_numbers(tmp_path):
     assert "line 8: non-finite feature 'weight': '-inf'" in message
 
 
+def test_load_csv_line_numbers_count_quoted_multi_line_cells_and_blank_lines(tmp_path):
+    schema = CsvSchema(feature_columns=("a",), label_column="y", label_positive="1",
+                       label_negative="0", group_column="z", group_positive="1",
+                       group_negative="0")
+    path = write(
+        tmp_path,
+        "a,note,y,z\n"
+        '1,"a note on\ntwo lines",1,0\n'  # lines 2-3
+        "oops,x,1,0\n"  # line 4
+        '2,"a bad row\nthat spans two lines",1,maybe\n'  # lines 5-6
+        "\n"  # line 7
+        "inf,x,0,0\n",  # line 8
+    )
+    with pytest.raises(ValueError) as exc:
+        load_csv(path, schema)
+    assert str(exc.value).split("\n")[1:] == [
+        "  line 4: non-numeric feature 'a': 'oops'",
+        "  line 5: unknown value 'maybe' in column 'z'",
+        "  line 8: non-finite feature 'a': 'inf'",
+    ]
+
+
 def test_load_csv_without_declared_negative_maps_other_values_to_zero(tmp_path):
     schema = CsvSchema(
         feature_columns=("height",),
