@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -36,11 +37,10 @@ def _parse_pairs(text: str):
         part = part.strip()
         if not part:
             continue
-        if "->" not in part:
+        match = re.fullmatch(r"(\d+)\s*,\s*(\d+)\s*->\s*(\d+)\s*,\s*(\d+)", part)
+        if match is None:
             raise ValueError(f"bad pair {part!r}; expected like 1,0->0,0")
-        src, tgt = part.split("->", 1)
-        sy, sz = (int(v) for v in src.split(","))
-        ty, tz = (int(v) for v in tgt.split(","))
+        sy, sz, ty, tz = (int(v) for v in match.groups())
         pairs.append(((sy, sz), (ty, tz)))
     return tuple(pairs)
 
@@ -86,7 +86,6 @@ SETTINGS = {
     "scenario.dim": ("shifts", "dim", int),
     **{f"scenario.t{y}{z}": ("counts", (y, z), int) for y in (0, 1) for z in (0, 1)},
     "fsgm.k": ("experiment", "k", int),
-    "fsgm.alpha": ("experiment", "alpha", float),
     "fsgm.pairs": ("experiment", "pairs", _parse_pairs),
     "fsgm.standardize": ("experiment", "standardize_knn", _parse_bool),
     **_spec_settings("forest", ForestSpec),
@@ -119,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicates", dest="experiment.replicates")
     parser.add_argument("--alpha-grid", dest="experiment.alpha_grid",
                         help="comma list of positive reals")
-    parser.add_argument("--alpha", dest="fsgm.alpha",
-                        help="pin alpha: a one-value grid that replaces --alpha-grid")
     parser.add_argument("--k", dest="fsgm.k", help="neighbors per source draw")
     parser.add_argument("--test-fraction", dest="experiment.test_fraction")
     parser.add_argument("--dump-augmented", dest="output.dump_augmented",
@@ -167,7 +164,6 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
 
     fields = parts["experiment"]
     out = fields.pop("out", None)
-    alpha = fields.pop("alpha", None)
     if out is None:
         raise ValueError("an output path is required (--out or experiment.out)")
     scenario = fields.get("scenario")
@@ -186,8 +182,6 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
     fields["forest"] = ForestSpec(**parts["forest"])
     fields["mlp"] = MlpSpec(**parts["mlp"])
     config = ExperimentConfig(**fields)
-    if alpha is not None:  # wins over experiment.alpha_grid, still checked above
-        config = dataclasses.replace(config, alpha_grid=(alpha,))
     return config, out
 
 
@@ -202,6 +196,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
         if Path(out).is_dir():
             raise ValueError(f"experiment.out: {str(Path(out))!r} is a directory, not a file")
+        if (config.csv_path is not None and Path(out).exists()
+                and Path(out).samefile(config.csv_path)):
+            raise ValueError(f"experiment.out: {out!r} is the input CSV; it would be overwritten")
         table = run_experiment(config)
         emit_results(table, out)
     except (ValueError, OSError, MemoryError) as exc:

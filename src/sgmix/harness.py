@@ -430,6 +430,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     full = None
     if config.csv_path is not None:
         full = load_csv(config.csv_path, config.csv_schema)
+        if len(full) < 2:
+            raise ValueError(f"{config.csv_path}: {len(full)} data row(s); "
+                             "a run needs at least 2")
     table = ResultTable()
     table.metadata = {
         "source": config.scenario if config.scenario is not None else config.csv_path,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmix.cli import SETTINGS, config_from_settings, main
+from sgmix.cli import SETTINGS, build_parser, config_from_settings, main
 from sgmix.harness import RESULTS_HEADER
 from sgmix.synth import preset_scenario
 from sgmix.tabular import dump_augmented_csv
@@ -269,21 +269,6 @@ def test_cli_alpha_and_a_one_value_grid_pin_alpha_without_a_search(tmp_path, cap
     assert [row.split(",")[3] for row in rows] == ["0.500000"] * 4 + [""] * 4
 
 
-def test_cli_alpha_wins_over_the_grid_it_replaces_which_is_still_checked(tmp_path, capsys):
-    config, _ = config_from_settings({"scenario.name": "unbalanced-groups",
-                                      "experiment.out": "r.csv",
-                                      "experiment.alpha_grid": "0.1,2", "fsgm.alpha": "4"})
-    assert config.alpha_grid == (4.0,)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("experiment.alpha_grid = 0.5,0.5\n")
-    out = tmp_path / "r.csv"
-    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups", "--alpha", "0.5",
-                 "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: alpha_grid must not repeat")
-    assert not out.exists()
-
-
 # One config line per bad value, the data source it runs with, and the key or
 # field its error line must name.
 BAD_VALUES = [
@@ -296,7 +281,7 @@ BAD_VALUES = [
     ("experiment.alpha_grid = -1", "scenario", "alpha_grid"),
     ("experiment.alpha_grid = 0.5,nan", "scenario", "alpha_grid"),
     ("experiment.alpha_grid = 0.5,0.5,1", "scenario", "alpha_grid must not repeat"),
-    ("fsgm.alpha = nan", "scenario", "alpha_grid"),
+    ("fsgm.alpha = 0.5", "scenario", "unknown config keys: ['fsgm.alpha']"),
     ("fsgm.k = 0", "scenario", "k must be"),
     ("forest.n_trees = abc", "scenario", "forest.n_trees"),
     ("mlp.learning_rate = inf", "scenario", "learning_rate"),
@@ -304,6 +289,8 @@ BAD_VALUES = [
     ("fsgm.standardize = maybe", "scenario", "fsgm.standardize"),
     ("fsgm.pairs = 1,0->1,0", "scenario", "coincide"),
     ("fsgm.pairs = 5,5->0,0", "scenario", "0 or 1"),
+    ("fsgm.pairs = 1,0->0", "scenario", "bad pair"),
+    ("fsgm.pairs = 1,0,1->0,0", "scenario", "bad pair"),
     ("scenario.angle = nan", "csv", "scenario.angle"),
     ("scenario.t00 = -5", "csv", "scenario.t00"),
     ("experiment.methods = original,original", "scenario", "methods must not repeat"),
@@ -453,15 +440,48 @@ def test_sizing_integer_past_int64_is_rejected_before_the_run(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+X1_SCHEMA = ("csv.features = x1\ncsv.label_column = y\ncsv.label_positive = 1\n"
+             "csv.group_column = z\ncsv.group_positive = 1\n")
+
+
 def test_cli_rejects_non_finite_csv_feature(tmp_path, capsys):
     data = tmp_path / "input.csv"
     data.write_text("x1,y,z\n0.5,1,0\nnan,0,1\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("csv.features = x1\ncsv.label_column = y\ncsv.label_positive = 1\n"
-                   "csv.group_column = z\ncsv.group_positive = 1\n")
+    cfg.write_text(X1_SCHEMA)
     code = main(["--config", str(cfg), "--csv", str(data), "--out", str(tmp_path / "r.csv")])
     assert code == 2
     assert "line 3: non-finite feature 'x1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_cli_rejects_csv_with_fewer_than_two_rows(tmp_path, capsys, rows):
+    data = tmp_path / "input.csv"
+    data.write_text("x1,y,z\n" + "0.5,1,0\n" * rows)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(X1_SCHEMA)
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), "--csv", str(data), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {data}: {rows} data row(s); a run needs at least 2\n"
+    assert "FAILED" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_rejects_out_that_is_the_input_csv(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "input.csv"
+    data.write_text("x1,y,z\n" + "0.5,1,0\n0.25,0,1\n" * 10)
+    before = data.read_bytes()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(X1_SCHEMA)
+    monkeypatch.chdir(tmp_path)  # the same file under another spelling
+    code = main(["--config", str(cfg), "--csv", str(data), "--out", "input.csv", *FAST])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: experiment.out: ") and "input CSV" in err, err
+    assert "Traceback" not in err
+    assert data.read_bytes() == before
 
 
 def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatch, capsys,
@@ -513,10 +533,17 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         assert "Traceback" not in err, settings
 
 
+def test_every_flag_stores_into_its_own_settings_key():
+    dests = [action.dest for action in build_parser()._actions
+             if action.option_strings and action.dest not in ("help", "config")]
+    assert len(set(dests)) == len(dests), dests
+    assert set(dests) <= set(SETTINGS), sorted(set(dests) - set(SETTINGS))
+
+
 def test_readme_key_table_matches_settings():
     section = README.read_text().split("### Config file", 1)[1].split("\n#", 1)[0]
     documented = set()
     for prefix, names in re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.MULTILINE):
         documented.update(f"{prefix}.{name}" for name in re.findall(r"`(\w+)`", names))
-    assert len(documented) == 39
+    assert len(documented) == 38
     assert documented == set(SETTINGS)
