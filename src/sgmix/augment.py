@@ -141,7 +141,7 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
     check_finite(dataset.x)
-    source_members = {}
+    source_members = []
     for pair in config.pairs:
         src = subgroup_indices(dataset, pair.source)
         if src.size == 0:
@@ -154,7 +154,7 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
                 f"insufficient target subgroup (y={pair.target.y}, z={pair.target.z}): "
                 f"has {tgt.size} members, need k={config.k}"
             )
-        source_members[pair] = src
+        source_members.append(src)
 
     search = dataset  # the neighbor search runs in z-scored space when asked
     if config.standardize:
@@ -163,18 +163,20 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     n, k, stride = config.new_count, config.k, len(config.pairs)
     batches = -(-n // k)
     stream = RngStream(config.seed)
-    sources = np.empty(batches, dtype=np.int64)
-    lams = np.empty(batches)
+    sizes = [members.size for members in source_members]
+    picks, lams = [], []
     for b in range(batches):
-        members = source_members[config.pairs[b % stride]]
-        sources[b] = members[stream.integers(members.size)]
-        lams[b] = beta_sample(stream, config.alpha)
+        picks.append(stream.integers(sizes[b % stride]))
+        lams.append(beta_sample(stream, config.alpha))
+    picks = np.array(picks, dtype=np.int64)
+    sources = np.empty(batches, dtype=np.int64)
     neighbors = np.empty((batches, k), dtype=np.int64)
-    for p, pair in enumerate(config.pairs):
+    for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
+        sources[p::stride] = members[picks[p::stride]]
         neighbors[p::stride] = knn_in_subgroup(search, search.x[sources[p::stride]], pair.target, k)
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
-                         np.repeat(lams, k)[:n])
+                         np.repeat(np.array(lams), k)[:n])
     counts = np.bincount(np.arange(n) // k % stride, minlength=stride)
     return AugmentationReport(produced, dict(zip(config.pairs, counts.tolist())), batches)
 
@@ -189,16 +191,18 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
     if new_count < 1:
         raise ValueError(f"new_count must be >= 1, got {new_count}")
     check_finite(dataset.x)
-    by_class = {c: np.nonzero(dataset.y == c)[0] for c in (0, 1)}
+    # partners[c] holds the rows of the class a class-c row mixes with
+    partners = tuple(np.nonzero(dataset.y == 1 - c)[0] for c in (0, 1))
     for c in (0, 1):
-        if by_class[c].size == 0:
+        if partners[1 - c].size == 0:
             raise ValueError(f"class {c} is empty; cross-class mixup needs both classes")
+    n, labels = len(dataset), dataset.y.tolist()
     stream = RngStream(seed)
     draws = []
     for _ in range(new_count):
-        i = stream.integers(len(dataset))
-        partners = by_class[1 - int(dataset.y[i])]
-        j = partners[stream.integers(partners.size)]
+        i = stream.integers(n)
+        others = partners[labels[i]]
+        j = others[stream.integers(others.size)]
         draws.append((i, j, beta_sample(stream, alpha)))
     return _mix_rows(dataset, *(np.array(column) for column in zip(*draws)))
 

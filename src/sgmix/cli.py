@@ -12,7 +12,9 @@ import re
 import sys
 from pathlib import Path
 
-from .harness import METHODS, MODEL_KINDS, ExperimentConfig, emit_results, run_experiment
+from .harness import (
+    METHODS, MODEL_KINDS, ExperimentConfig, _dump_path, emit_results, run_experiment,
+)
 from .models import ForestSpec, MlpSpec
 from .synth import SCENARIO_NAMES, preset_scenario
 from .tabular import CsvSchema, load_config
@@ -185,6 +187,28 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
     return config, out
 
 
+def _same_file(a: str, b: str) -> bool:
+    a, b = Path(a), Path(b)
+    if a.exists() and b.exists():
+        return a.samefile(b)
+    return a.resolve() == b.resolve()
+
+
+def _check_written_paths(config: ExperimentConfig, out: str, config_file: str | None) -> None:
+    """Reject a run that would write over a file it reads or another file it writes."""
+    taken = [(path, what) for path, what in ((config.csv_path, "the input CSV"),
+                                             (config_file, "the config file")) if path]
+    written = [("experiment.out", out)]
+    if config.dump_augmented:
+        written += [("output.dump_augmented", _dump_path(config.dump_augmented, method))
+                    for method in config.methods]
+    for key, path in written:
+        for other, what in taken:
+            if _same_file(path, other):
+                raise ValueError(f"{key}: {path!r} is {what}; it would be overwritten")
+        taken.append((path, f"the {key} path"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -196,9 +220,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
         if Path(out).is_dir():
             raise ValueError(f"experiment.out: {str(Path(out))!r} is a directory, not a file")
-        if (config.csv_path is not None and Path(out).exists()
-                and Path(out).samefile(config.csv_path)):
-            raise ValueError(f"experiment.out: {out!r} is the input CSV; it would be overwritten")
+        _check_written_paths(config, out, args.config)
         table = run_experiment(config)
         emit_results(table, out)
     except (ValueError, OSError, MemoryError) as exc:

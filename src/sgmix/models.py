@@ -322,6 +322,8 @@ def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
     rows = np.arange(len(data))[:, None] * n
     # A too-large rate overflows the weights to inf and then nan; predict
     # reports that with a ValueError, so numpy need not warn on the way.
+    # NaN absorbs every update, so once all weights are NaN, later epochs
+    # would change nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(spec.epochs):
             order = np.stack([shuffle.permutation(n) for shuffle in shuffles])
@@ -331,6 +333,8 @@ def train_mlps(xs, ys, spec: MlpSpec, seeds) -> list[TrainedModel]:
                 _mlp_grads(params, xz.take(batch, axis=0), yf.take(batch), grads)
                 grad_flat *= spec.learning_rate
                 flat -= grad_flat
+            if np.isnan(flat).all():
+                break
     return [
         TrainedModel(kind="mlp", dim=d, params={
             **{key: value[i].copy() for key, value in params.items()},

@@ -6,7 +6,7 @@ import numpy as np
 from .data import Dataset, SubgroupKey, check_finite, subgroup_indices
 
 # Queries are searched in blocks whose (rows, members, d) difference array
-# holds about this many float64 values, and at least one query row.
+# would hold about this many float64 values, and at least one query row.
 _BLOCK_VALUES = 2**15
 
 
@@ -39,15 +39,57 @@ def knn_in_subgroup(
             f"insufficient target subgroup (y={target[0]}, z={target[1]}): "
             f"has {members.size} members, need k={k}"
         )
-    xt = dataset.x[members]
+    xt = np.ascontiguousarray(dataset.x[members].T)
     queries = np.atleast_2d(query)
     rows = max(1, _BLOCK_VALUES // max(1, xt.size))
     nearest = np.empty((len(queries), k), dtype=np.int64)
     for start in range(0, len(queries), rows):
-        diff = xt - queries[start:start + rows, None]
-        dist = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+        dist = _squared_distances(xt, queries[start:start + rows])
+        np.sqrt(dist, out=dist)
         nearest[start:start + rows] = _k_smallest(dist, k)
     return members[nearest.reshape(query.shape[:-1] + (k,))]
+
+
+def _squared_distances(xt: np.ndarray, q: np.ndarray, lo: int = 0, n: int | None = None):
+    """(rows, M) sums over features lo..lo+n of (xt[j] - q[:, j])², xt of shape (d, M).
+
+    Each entry is the bits of `np.square(xt.T - q[:, None]).sum(-1)`: the
+    columns are added in the order numpy's pairwise sum adds a contiguous
+    axis. Below 8 terms it adds left to right; up to 128 it keeps eight
+    running sums of every eighth term, combines them as a tree, then adds
+    the leftover terms; past 128 it sums two halves split at a multiple of 8.
+    """
+    if n is None:
+        n = len(xt)
+
+    def term(j, out=None):
+        out = np.subtract(xt[j], q[:, j, None], out=out)
+        return np.square(out, out=out)
+
+    if n < 8:
+        total = term(lo)
+        scratch = np.empty_like(total)
+        for j in range(lo + 1, lo + n):
+            total += term(j, scratch)
+        return total
+    if n <= 128:
+        sums = [term(lo + r) for r in range(8)]
+        scratch = np.empty_like(sums[0])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for r in range(8):
+                sums[r] += term(lo + i + r, scratch)
+        for step in (1, 2, 4):  # ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+            for r in range(0, 8, 2 * step):
+                sums[r] += sums[r + step]
+        total = sums[0]
+        for j in range(lo + tail, lo + n):
+            total += term(j, scratch)
+        return total
+    half = n // 2 - (n // 2) % 8
+    total = _squared_distances(xt, q, lo, half)
+    total += _squared_distances(xt, q, lo + half, n - half)
+    return total
 
 
 def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -57,11 +99,15 @@ def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     them, but only k values per row are sorted.
     """
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    below = dist < kth
-    tied = dist == kth
-    # every value below the k-th, then the leftmost ties until k are taken
-    wanted = k - below.sum(axis=1, keepdims=True)
-    taken = below | (tied & (np.cumsum(tied, axis=1) <= wanted))
+    # each row has at least k values <= its k-th; when no row has more,
+    # those are the k wanted
+    taken = dist <= kth
+    if np.count_nonzero(taken) != taken.shape[0] * k:
+        below = dist < kth
+        tied = dist == kth
+        # every value below the k-th, then the leftmost ties until k are taken
+        wanted = k - below.sum(axis=1, keepdims=True)
+        taken = below | (tied & (np.cumsum(tied, axis=1) <= wanted))
+    rows = np.arange(len(dist))[:, None]
     cols = np.nonzero(taken)[1].reshape(len(dist), k)
-    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    return cols[rows, np.argsort(dist[rows, cols], axis=1, kind="stable")]

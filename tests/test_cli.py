@@ -484,6 +484,30 @@ def test_cli_rejects_out_that_is_the_input_csv(tmp_path, capsys, monkeypatch):
     assert data.read_bytes() == before
 
 
+@pytest.mark.parametrize("flags, key, what", [
+    (["--out", "run.cfg"], "experiment.out", "the config file"),
+    (["--csv", "d.original.csv", "--out", "r.csv", "--dump-augmented", "d.csv",
+      "--methods", "original"], "output.dump_augmented", "the input CSV"),
+    (["--out", "r.fsgm.csv", "--dump-augmented", "r.csv", "--methods", "fsgm"],
+     "output.dump_augmented", "the experiment.out path"),
+], ids=["out-is-config", "dump-is-csv", "dump-is-out"])
+def test_cli_rejects_a_written_path_that_is_read_or_written_twice(tmp_path, capsys, monkeypatch,
+                                                                  flags, key, what):
+    def must_not_run(config):
+        raise AssertionError("run_experiment called despite a path collision")
+
+    monkeypatch.setattr("sgmix.cli.run_experiment", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    Path("d.original.csv").write_text("x1,y,z\n" + "0.5,1,0\n0.25,0,1\n" * 10)
+    Path("run.cfg").write_text(X1_SCHEMA + "csv.path = d.original.csv\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    code = main(["--config", "run.cfg", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {key}: ") and what in err and err.count("\n") == 1, err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatch, capsys,
                                                             standin_path):
     """Random settings dicts never escape as anything but a ValueError.

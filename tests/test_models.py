@@ -487,6 +487,27 @@ def test_stacked_mlps_peak_memory_stays_near_the_stacked_features():
     assert peak < 2.5 * feature_bytes, peak / feature_bytes
 
 
+def test_diverged_mlp_stack_stops_stepping_once_every_weight_is_nan(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _mlp_grads(*args)
+
+    monkeypatch.setattr("sgmix.models._mlp_grads", counting)
+    x, y = separated_data(17, n=40)
+    # at this rate every weight is NaN after the first epoch
+    spec = MlpSpec(epochs=200, batch_size=16, learning_rate=1e300)
+    steps_per_epoch = math.ceil(40 / spec.batch_size)
+    model = train_mlp(x, y, spec)
+    assert 0 < len(calls) <= 2 * steps_per_epoch, len(calls)
+    with pytest.raises(ValueError, match="diverged"):
+        predict(model, x)
+    calls.clear()
+    train_mlp(x, y, MlpSpec(epochs=20, batch_size=16))
+    assert len(calls) == 20 * steps_per_epoch
+
+
 def test_stacked_mlps_reject_mismatched_or_missing_datasets():
     (xa, ya), (xb, yb) = separated_data(40, n=30), separated_data(41, n=31)
     spec = MlpSpec(epochs=1)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -143,11 +144,11 @@ def test_knn_rejects_nonfinite_query_or_features(bad):
         knn_in_subgroup(Dataset(x, ds.y, ds.z), ds.x[0], key, k=2)
 
 
-def test_knn_block_search_peak_memory_stays_far_below_the_full_block():
+@pytest.mark.parametrize("d", [7, 8, 130])  # one of each summation path
+def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
     # 500 queries against 500 members: one (500, 500, d) difference array
-    # would take 16 MB; blocks of queries keep the peak near one block.
+    # would take 2 MB per feature; blocks of queries keep the peak near one block.
     stream = np.random.default_rng(5)
-    d = 8
     x = stream.standard_normal((1000, d))
     ds = Dataset(x, np.repeat([0, 1], 500), np.zeros(1000, dtype=int))
     full_block_bytes = 500 * 500 * d * 8
@@ -159,3 +160,36 @@ def test_knn_block_search_peak_memory_stays_far_below_the_full_block():
         tracemalloc.stop()
     assert out.shape == (500, 5)
     assert peak < full_block_bytes / 8, peak / full_block_bytes
+
+
+def test_column_distances_keep_the_bits_of_numpys_reduction_order():
+    # The kernel adds feature columns in the order np.add.reduce sums a
+    # contiguous axis (pairwise, 8 running sums); if this fails, numpy's
+    # reduction order changed and fsgm neighbours may no longer match.
+    stream = np.random.default_rng(0)
+    dims = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 513]
+    for d, members, rows in itertools.product(dims, (1, 2, 297), (1, 29)):
+        scale = 10.0 ** stream.uniform(-3, 3, size=d)
+        x = stream.standard_normal((members, d)) * scale
+        q = stream.standard_normal((rows, d)) * scale
+        expected = np.sqrt(np.square(x - q[:, None]).sum(-1))
+        got = np.sqrt(neighbors._squared_distances(np.ascontiguousarray(x.T), q))
+        assert got.shape == (rows, members)
+        differ = got.view(np.int64) != expected.view(np.int64)
+        assert not differ.any(), (
+            f"d={d}, {members} members, {rows} rows: {differ.mean():.0%} of distances "
+            "differ from numpy's own sum; its reduction order changed")
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 40])
+def test_k_smallest_with_and_without_ties_at_the_kth_matches_a_stable_sort(k):
+    stream = np.random.default_rng(k)
+    tied = stream.integers(0, 6, size=(12, 40)).astype(np.float64)  # many ties at the k-th
+    distinct = np.array([stream.permutation(40) for _ in range(12)], dtype=np.float64)
+    mixed = np.concatenate([tied, distinct])[stream.permutation(24)]
+    for dist in (tied, distinct, mixed):
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(neighbors._k_smallest(dist, k), expected)
+    kth = np.sort(tied, axis=1)[:, k - 1:k]
+    if k < 40:  # the tie rule, not only the fast path, picked some rows
+        assert ((tied <= kth).sum(axis=1) > k).any()
