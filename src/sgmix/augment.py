@@ -4,7 +4,9 @@ The central routine, :func:`fsgm_augment`, draws a sample from a chosen
 source subgroup, finds its k nearest neighbors inside a chosen target
 subgroup, and emits convex combinations of the pair sharing one Beta-drawn
 mixing weight per source draw. It makes every draw first and then searches
-each pair's neighbors once, for all of that pair's source draws together.
+each pair's neighbors once, for all of that pair's source draws together;
+since sources are drawn with replacement, that search covers each distinct
+source row once.
 Class and group labels of the new samples are the indicator of the
 interpolated label reaching 1/2, so each new point inherits the labels of
 whichever parent it lies closer to.
@@ -137,7 +139,8 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     Each batch: pick the next pair round-robin, draw a uniform source sample,
     then one mixing weight, and emit k mixed samples sharing that weight, one
     per nearest target-subgroup neighbor of the source. Every batch is drawn
-    first; then one neighbor search per pair covers all of its batches. The
+    first; then one neighbor search per pair covers each distinct source row
+    its batches drew, once, and every batch takes its source's neighbors. The
     last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
     check_finite(dataset.x)
@@ -172,8 +175,14 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     sources = np.empty(batches, dtype=np.int64)
     neighbors = np.empty((batches, k), dtype=np.int64)
     for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
+        # a row's neighbors do not depend on the other rows searched with it,
+        # so each distinct pick is searched once; where[b] is batch b's row
+        drawn = np.zeros(members.size, dtype=bool)
+        drawn[picks[p::stride]] = True
+        where = np.cumsum(drawn)[picks[p::stride]] - 1
         sources[p::stride] = members[picks[p::stride]]
-        neighbors[p::stride] = knn_in_subgroup(search, search.x[sources[p::stride]], pair.target, k)
+        neighbors[p::stride] = knn_in_subgroup(
+            search, search.x[members[drawn]], pair.target, k)[where]
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(np.array(lams), k)[:n])

@@ -55,6 +55,11 @@ def _column_names(text: str) -> tuple[str, ...]:
     return tuple(name for name in _comma_list(text) if name)
 
 
+def _delimiter(text: str) -> str:
+    """The text `\\t` names a tab, which a stripped config value cannot hold."""
+    return "\t" if text == "\\t" else text
+
+
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
@@ -95,7 +100,8 @@ SETTINGS = {
     "csv.path": ("experiment", "csv_path", str),
     "csv.features": ("csv", "feature_columns", _column_names),
     **{f"csv.{f.name}": ("csv", f.name, str)
-       for f in dataclasses.fields(CsvSchema) if f.name != "feature_columns"},
+       for f in dataclasses.fields(CsvSchema) if f.name not in ("feature_columns", "delimiter")},
+    "csv.delimiter": ("csv", "delimiter", _delimiter),
     "output.dump_augmented": ("experiment", "dump_augmented", str),
 }
 

@@ -8,6 +8,7 @@ an error instead of silently mapping to 0.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -46,14 +47,26 @@ def _map_binary(raw: str, positive: str, negative: str | None, column: str) -> i
     raise ValueError(f"unknown value {raw!r} in column {column!r}")
 
 
+def _read_text(path) -> str:
+    """The file as UTF-8 text, less a leading byte-order mark (as spreadsheet tools save it)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is raw less any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}: line {line} is not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a header-led CSV into a Dataset.
+    """Parse a header-led UTF-8 CSV into a Dataset.
 
     Any row with an unparseable cell or a nan/inf feature is rejected; all
     rejected rows are reported together in one error, each with the 1-based
     file line it starts on. A header may repeat only columns the schema does not read.
     """
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         try:
             header = next(reader)
@@ -132,8 +145,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    """parse_config_text of a UTF-8 file."""
+    return parse_config_text(_read_text(path))
 
 
 ORIGIN_TAGS = ("original", "fsgm", "vanilla", "swap", "bootstrap")

@@ -17,6 +17,7 @@ from sgmix import (
     subgroup_counts,
 )
 from sgmix import neighbors
+from sgmix import augment as augment_module
 from sgmix.augment import bootstrap, make_pair, vanilla_mixup
 from sgmix.data import SubgroupKey, subgroup_indices
 from sgmix.rng import RngStream, beta_sample
@@ -366,6 +367,56 @@ def test_fsgm_matches_per_row_oracle_across_blocks_and_ties(monkeypatch, case, s
     assert np.array_equal(report.produced.z, z)
     assert report.per_pair_counts == counts == dict(zip(cfg.pairs, (50, 50)))
     assert report.lambda_draws == batches == 20
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_fsgm_matches_per_row_oracle_when_draws_repeat(monkeypatch, standardize):
+    # (0, 0) keeps 3 rows, so its 20 draws repeat them; one decimal per
+    # feature makes neighbor distances tie, and blocks of 2 query rows split
+    # each pair's distinct source rows across blocks
+    ds = random_dataset(5, t=90, d=2)
+    keep = np.ones(len(ds), dtype=bool)
+    keep[subgroup_indices(ds, SubgroupKey(0, 0))[3:]] = False
+    ds = Dataset(np.round(ds.x[keep], 1), ds.y[keep], ds.z[keep])
+    assert subgroup_indices(ds, SubgroupKey(0, 0)).size == 3
+    pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    smallest = min(subgroup_indices(ds, target).size for _, target in pairs)
+    monkeypatch.setattr(neighbors, "_BLOCK_VALUES", 2 * smallest * ds.dim)
+    cfg = FsgmConfig(pairs=pairs, new_count=200, k=5, alpha=0.6, seed=5,
+                     standardize=standardize)
+    report = fsgm_augment(ds, cfg)
+    x, y, z, counts, batches = oracle_fsgm(ds, cfg)
+    assert np.array_equal(report.produced.x, x)
+    assert np.array_equal(report.produced.y, y)
+    assert np.array_equal(report.produced.z, z)
+    assert report.per_pair_counts == counts == dict(zip(cfg.pairs, (100, 100)))
+    assert report.lambda_draws == batches == 40
+
+
+def test_fsgm_searches_each_distinct_source_row_once(monkeypatch):
+    ds = scaled_dataset(5)
+    cfg = FsgmConfig(pairs=(((0, 0), (1, 1)), ((1, 0), (0, 1))), new_count=200, k=5,
+                     alpha=0.6, seed=5)
+    queries = []
+
+    def recording_knn(dataset, query, target, k):
+        queries.append(query)
+        return neighbors.knn_in_subgroup(dataset, query, target, k)
+
+    monkeypatch.setattr(augment_module, "knn_in_subgroup", recording_knn)
+    report = fsgm_augment(ds, cfg)
+    # replay the draws: one source row, then one weight, per batch
+    stream = RngStream(cfg.seed)
+    drawn = [set() for _ in cfg.pairs]
+    for b in range(report.lambda_draws):
+        members = subgroup_indices(ds, cfg.pairs[b % 2].source)
+        drawn[b % 2].add(int(members[stream.integers(members.size)]))
+        beta_sample(stream, cfg.alpha)
+    assert sum(map(len, drawn)) < report.lambda_draws == 40  # some draws repeat
+    assert [len(query) for query in queries] == [len(rows) for rows in drawn]
+    for query, rows in zip(queries, drawn):
+        assert len(np.unique(query, axis=0)) == len(query)
+        assert np.array_equal(query, ds.x[sorted(rows)])
 
 
 def test_fsgm_with_more_pairs_than_batches():

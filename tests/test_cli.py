@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import re
@@ -466,6 +468,49 @@ def test_cli_rejects_csv_with_fewer_than_two_rows(tmp_path, capsys, rows):
     assert code == 2
     assert captured.err == f"error: {data}: {rows} data row(s); a run needs at least 2\n"
     assert "FAILED" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["byte-order marks", "tab delimiter"])
+def test_cli_standin_variants_give_byte_identical_results(tmp_path, standin_path, variant):
+    plain_csv = Path(standin_path).read_bytes()
+    plain_cfg = "".join(f"{key} = {value}\n" for key, value in
+                        {**STANDIN_SCHEMA, "forest.n_trees": "3"}.items()).encode()
+    if variant == "byte-order marks":
+        data, cfg = b"\xef\xbb\xbf" + plain_csv, b"\xef\xbb\xbf" + plain_cfg
+    else:  # a stripped config value cannot hold a tab, so `\t` names one
+        with open(standin_path, newline="") as fh:
+            text = io.StringIO()
+            csv.writer(text, delimiter="\t", lineterminator="\n").writerows(csv.reader(fh))
+        data, cfg = text.getvalue().encode(), plain_cfg + b"csv.delimiter = \\t\n"
+
+    def results(name, data, cfg):
+        data_path, cfg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.cfg"
+        data_path.write_bytes(data)
+        cfg_path.write_bytes(cfg)
+        out = tmp_path / f"{name}.results.csv"
+        code = main(["--config", str(cfg_path), "--csv", str(data_path), "--out", str(out),
+                     "--replicates", "1", "--methods", "original,fsgm", "--models", "forest",
+                     "--alpha-grid", "1"])
+        assert code == 0
+        return out.read_bytes()
+
+    assert results("variant", data, cfg) == results("plain", plain_csv, plain_cfg)
+
+
+@pytest.mark.parametrize("which", ["csv", "config"])
+def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, which):
+    data = tmp_path / "input.csv"
+    data.write_text("x1,y,z\n" + "0.5,1,0\n0.25,0,1\n" * 10)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(X1_SCHEMA)
+    bad = data if which == "csv" else cfg
+    line = bad.read_bytes().count(b"\n") + 1
+    bad.write_bytes(bad.read_bytes() + "# G\u00e4ste\n".encode("latin-1"))
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), "--csv", str(data), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: line {line} is not UTF-8 text (byte 0xe4)\n"
     assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,27 @@ def test_bundled_standin_loads(standin_path, standin_schema):
     counts = subgroup_counts(ds)
     assert counts.sum() == 2800
     assert (counts > 0).all()
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path, standin_path, standin_schema):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(standin_path).read_bytes())
+    plain, marked = load_csv(standin_path, standin_schema), load_csv(bom, standin_schema)
+    for a, b in zip((plain.x, plain.y, plain.z), (marked.x, marked.y, marked.z)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("reader", ["csv", "config"])
+def test_files_that_are_not_utf8_name_the_file_and_line(tmp_path, reader, bom):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(bom + "x1,y,z\n0.5,1,0\n# G\u00e4ste\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3 is not UTF-8 text "
+                                         r"\(byte 0xe4\)$"):
+        if reader == "csv":
+            load_csv(path, CsvSchema(("x1",), "y", "1", "z", "1"))
+        else:
+            load_config(path)
 
 
 # ---------------------------------------------------------------- config
