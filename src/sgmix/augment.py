@@ -19,10 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    Dataset, SubgroupKey, check_finite, check_int64, concat, feature_standardizer,
-    subgroup_indices,
+    Dataset, SubgroupKey, check_int64, concat, feature_standardizer, subgroup_indices,
 )
-from .neighbors import knn_in_subgroup
+from .neighbors import knn_in_subgroup, target_members
 from .rng import RngStream, beta_sample
 
 
@@ -143,7 +142,6 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     its batches drew, once, and every batch takes its source's neighbors. The
     last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
-    check_finite(dataset.x)
     source_members = []
     for pair in config.pairs:
         src = subgroup_indices(dataset, pair.source)
@@ -151,12 +149,7 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
             raise ValueError(
                 f"empty source subgroup (y={pair.source.y}, z={pair.source.z})"
             )
-        tgt = subgroup_indices(dataset, pair.target)
-        if tgt.size < config.k:
-            raise ValueError(
-                f"insufficient target subgroup (y={pair.target.y}, z={pair.target.z}): "
-                f"has {tgt.size} members, need k={config.k}"
-            )
+        target_members(dataset, pair.target, config.k)  # fail before any draw
         source_members.append(src)
 
     search = dataset  # the neighbor search runs in z-scored space when asked
@@ -199,7 +192,6 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
     check_int64(new_count=new_count)
     if new_count < 1:
         raise ValueError(f"new_count must be >= 1, got {new_count}")
-    check_finite(dataset.x)
     # partners[c] holds the rows of the class a class-c row mixes with
     partners = tuple(np.nonzero(dataset.y == 1 - c)[0] for c in (0, 1))
     for c in (0, 1):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    METHODS, MODEL_KINDS, ExperimentConfig, _dump_path, emit_results, run_experiment,
+    METHODS, MODEL_KINDS, ExperimentConfig, dump_path, emit_results, run_experiment,
 )
 from .models import ForestSpec, MlpSpec
 from .synth import SCENARIO_NAMES, preset_scenario
@@ -201,14 +201,20 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_written_paths(config: ExperimentConfig, out: str, config_file: str | None) -> None:
-    """Reject a run that would write over a file it reads or another file it writes."""
+    """Reject, before any model trains, a file the run writes that could not be
+    written: its directory is missing, it is a directory, or it is a file the
+    run reads or another file it writes."""
     taken = [(path, what) for path, what in ((config.csv_path, "the input CSV"),
                                              (config_file, "the config file")) if path]
     written = [("experiment.out", out)]
     if config.dump_augmented:
-        written += [("output.dump_augmented", _dump_path(config.dump_augmented, method))
+        written += [("output.dump_augmented", dump_path(config.dump_augmented, method))
                     for method in config.methods]
     for key, path in written:
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"{key}: {str(Path(path))!r} is a directory, not a file")
         for other, what in taken:
             if _same_file(path, other):
                 raise ValueError(f"{key}: {path!r} is {what}; it would be overwritten")
@@ -219,13 +225,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, out = config_from_settings(_merged_settings(args))
-        # Fail before training, not when the first file is written.
-        for key, path in (("experiment.out", out),
-                          ("output.dump_augmented", config.dump_augmented)):
-            if path and not Path(path).parent.is_dir():
-                raise ValueError(f"{key}: directory {str(Path(path).parent)!r} does not exist")
-        if Path(out).is_dir():
-            raise ValueError(f"experiment.out: {str(Path(out))!r} is a directory, not a file")
         _check_written_paths(config, out, args.config)
         table = run_experiment(config)
         emit_results(table, out)

@@ -24,9 +24,10 @@ ALL_SUBGROUPS: tuple[SubgroupKey, ...] = (
 class Dataset:
     """Immutable ordered collection of samples with a fixed feature dimension.
 
-    Features live in a read-only (T, d) float64 matrix; class and group labels
-    in read-only 0/1 int vectors. Augmenters never mutate a Dataset, they return
-    new ones, so every cell of a replicate reads the same train and test sets.
+    Features live in a read-only (T, d) matrix of finite float64 values; class
+    and group labels in read-only 0/1 int vectors. Augmenters never mutate a
+    Dataset, they return new ones, so every cell of a replicate reads the same
+    train and test sets.
     """
 
     __slots__ = ("_x", "_y", "_z")
@@ -45,6 +46,7 @@ class Dataset:
             bad = np.flatnonzero((labels != 0) & (labels != 1))
             if bad.size:
                 raise ValueError(f"sample {bad[0]}: {name} label {labels[bad[0]]} outside {{0, 1}}")
+        check_finite(x)
         for arr in (x, y, z):
             arr.setflags(write=False)
         self._x, self._y, self._z = x, y, z

@@ -145,13 +145,9 @@ class ExperimentConfig:
             preset = preset_scenario(self.scenario)
             if self.shifts is None:
                 object.__setattr__(self, "shifts", preset.shifts)
-            try:
-                counts = np.asarray(preset.counts if self.counts is None else self.counts,
-                                    dtype=np.int64)
-            except OverflowError:
-                raise ValueError(f"counts must fit in int64, got {self.counts}") from None
-            # Validates the shape, signs and total the generator will see.
-            object.__setattr__(self, "counts", ScenarioConfig(counts).counts)
+            # ScenarioConfig validates the counts the generator will see.
+            object.__setattr__(self, "counts", ScenarioConfig(
+                preset.counts if self.counts is None else self.counts).counts)
             dim = self.shifts.dim
         m = self.forest.features_per_split
         if "forest" in self.models and m is not None and m > dim:
@@ -350,7 +346,8 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
     return found, failures
 
 
-def _dump_path(base: str, method: str) -> str:
+def dump_path(base: str, method: str) -> str:
+    """Where a run with --dump-augmented base writes method's training set."""
     p = Path(base)
     suffix = p.suffix if p.suffix else ".csv"
     return str(p.with_name(f"{p.stem}.{method}{suffix}"))
@@ -398,7 +395,7 @@ def _run_replicate(table: ResultTable, config: ExperimentConfig, r: int, rep_see
             # Dump before the fit: a failed dump fails its cell before any model trains.
             if config.dump_augmented and r == 0 and model_kind == config.models[0]:
                 t = len(train)
-                dump_augmented_csv(_dump_path(config.dump_augmented, method), data,
+                dump_augmented_csv(dump_path(config.dump_augmented, method), data,
                                    ("original",) * t + (ADDED_TAGS[method],) * t)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[cell] = exc

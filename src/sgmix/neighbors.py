@@ -10,6 +10,17 @@ from .data import Dataset, SubgroupKey, check_finite, subgroup_indices
 _BLOCK_VALUES = 2**15
 
 
+def target_members(dataset: Dataset, target: SubgroupKey, k: int) -> np.ndarray:
+    """Ascending dataset indices of the target subgroup, which must hold at least k."""
+    members = subgroup_indices(dataset, SubgroupKey(*target))
+    if members.size < k:
+        raise ValueError(
+            f"insufficient target subgroup (y={target[0]}, z={target[1]}): "
+            f"has {members.size} members, need k={k}"
+        )
+    return members
+
+
 def knn_in_subgroup(
     dataset: Dataset,
     query: np.ndarray,
@@ -32,13 +43,7 @@ def knn_in_subgroup(
             f"query has shape {query.shape}, expected ({dataset.dim},) or (m, {dataset.dim})"
         )
     check_finite(query)
-    check_finite(dataset.x)
-    members = subgroup_indices(dataset, SubgroupKey(*target))
-    if members.size < k:
-        raise ValueError(
-            f"insufficient target subgroup (y={target[0]}, z={target[1]}): "
-            f"has {members.size} members, need k={k}"
-        )
+    members = target_members(dataset, target, k)
     xt = np.ascontiguousarray(dataset.x[members].T)
     queries = np.atleast_2d(query)
     rows = max(1, _BLOCK_VALUES // max(1, xt.size))

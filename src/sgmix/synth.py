@@ -54,9 +54,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        try:
+            counts = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"counts must fit in int64, got {self.counts}") from None
         if counts.shape != (2, 2):
             raise ValueError(f"counts must be 2x2, got shape {counts.shape}")
+        if not (counts == np.asarray(self.counts)).all():
+            raise ValueError(f"counts must be whole numbers, got {self.counts}")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
         if counts.sum() == 0:

@@ -149,17 +149,11 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(_read_text(path))
 
 
-ORIGIN_TAGS = ("original", "fsgm", "vanilla", "swap", "bootstrap")
-
-
 def dump_augmented_csv(path, dataset: Dataset, origins) -> None:
     """Write rows as x1..xd,y,z,origin; features keep full precision."""
     origins = list(origins)
     if len(origins) != len(dataset):
         raise ValueError(f"{len(origins)} origins for {len(dataset)} samples")
-    unknown = sorted(set(origins) - set(ORIGIN_TAGS))
-    if unknown:
-        raise ValueError(f"unknown origin tags {unknown}; allowed: {ORIGIN_TAGS}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(dataset.dim)] + ["y", "z", "origin"])

@@ -350,6 +350,14 @@ def test_cli_rejects_directory_as_out_before_the_run(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: experiment.out: {out or '.'!r} is a directory, not a file\n", err
+    # a --dump-augmented file that is a directory is stopped by the same rule
+    (tmp_path / out / "base.fsgm.csv").mkdir()
+    code = main(["--scenario", "unbalanced-groups", "--out", "r.csv", "--methods",
+                 "original,fsgm", "--dump-augmented", str(Path(out, "base.csv"))])
+    err = capsys.readouterr().err
+    dump = str(Path(out, "base.fsgm.csv"))
+    assert code == 2
+    assert err == f"error: output.dump_augmented: {dump!r} is a directory, not a file\n", err
 
 
 def test_cli_rejects_key_repeated_in_config_file(tmp_path, capsys):

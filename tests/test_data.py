@@ -87,6 +87,10 @@ def test_dataset_rejects_labels_outside_0_1():
         Dataset([[np.nan], [1.0], [2.0]], [0, 2, 1], [0, 0, 3])
     with pytest.raises(ValueError, match=r"sample 2: group label 3 outside \{0, 1\}"):
         Dataset([[np.nan], [1.0], [2.0]], [0, 1, 1], [0, 0, 3])
+    # with valid labels, that NaN feature (or an inf) is what is rejected
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            Dataset([[bad], [1.0], [2.0]], [0, 1, 1], [0, 0, 1])
 
 
 def test_concat_and_subset():

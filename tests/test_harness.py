@@ -31,7 +31,7 @@ from sgmix.harness import (
 )
 from sgmix.models import train_forest, train_mlps
 from sgmix.rng import STREAM_OFFSETS, derive_seed
-from sgmix.tabular import ORIGIN_TAGS, dump_augmented_csv
+from sgmix.tabular import dump_augmented_csv
 
 from conftest import random_dataset
 
@@ -159,7 +159,6 @@ def test_run_method_origin_tags():
 
 def test_added_tags_name_every_method_with_a_dump_tag():
     assert tuple(harness.ADDED_TAGS) == METHODS
-    assert {"original", *harness.ADDED_TAGS.values()} <= set(ORIGIN_TAGS)
 
 
 def test_run_method_trains_requested_model_kind():
@@ -576,6 +575,8 @@ def test_experiment_config_validation():
         ExperimentConfig(scenario="unbalanced-groups", methods=("original", "original"))
     with pytest.raises(ValueError, match="models must not repeat"):
         ExperimentConfig(scenario="unbalanced-groups", models=("forest", "forest"))
+    with pytest.raises(ValueError, match="counts must be whole numbers"):
+        ExperimentConfig(scenario="unbalanced-groups", counts=[[10.7, 100], [10, 100]])
 
 
 @pytest.mark.parametrize("override", [

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it, and so is every private name it defines.
+"""Every name a module imports is used in it, and so is every private name it
+defines; no module imports another module's private name.
 
 No linter ships with the project, so unused imports and leftover private
 helpers are caught here. `__init__.py` is skipped for imports: they are
@@ -69,3 +70,22 @@ def test_unused_private_names_are_found():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_private_name(path):
     assert unused_private_names((SRC / path).read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """`_name`s that a relative or `sgmix` import takes from another module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sgmix"
+                                                 or node.module.startswith("sgmix.")):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert private_imports("from .a import b, _c\nfrom os import _exit\n"
+                           "from sgmix.d import _e\nfrom __future__ import annotations\n") == [
+        "_c (line 1)", "_e (line 3)"]
+    found = {path.name: private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

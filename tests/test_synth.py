@@ -108,6 +108,12 @@ def test_scenario_config_rejects_bad_counts():
         ScenarioConfig(counts=np.array([[1, -1], [0, 0]]), shifts=ShiftSpec(), seed=0)
     with pytest.raises(ValueError, match="must be positive"):
         ScenarioConfig(counts=np.zeros((2, 2), dtype=int), shifts=ShiftSpec(), seed=0)
+    # every bad value is a ValueError, and a fraction is not cut to an int
+    with pytest.raises(ValueError,
+                       match=r"^counts must fit in int64, got \[\[9223372036854775808,"):
+        ScenarioConfig(counts=[[2**63, 1], [1, 1]])
+    with pytest.raises(ValueError, match=r"^counts must be whole numbers, got \[\[10.7, 100"):
+        ScenarioConfig(counts=[[10.7, 100], [10, 100]])
 
 
 # ---------------------------------------------------------------- presets
