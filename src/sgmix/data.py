@@ -34,8 +34,7 @@ class Dataset:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         x = np.array(x, dtype=np.float64, copy=True, order="C")
-        y = np.array(y, dtype=np.int64, copy=True)
-        z = np.array(z, dtype=np.int64, copy=True)
+        y, z = np.asarray(y), np.asarray(z)
         if x.ndim != 2:
             raise ValueError(f"features must form a (T, d) matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],) or z.shape != (x.shape[0],):
@@ -45,7 +44,10 @@ class Dataset:
         for name, labels in (("class", y), ("group", z)):
             bad = np.flatnonzero((labels != 0) & (labels != 1))
             if bad.size:
-                raise ValueError(f"sample {bad[0]}: {name} label {labels[bad[0]]} outside {{0, 1}}")
+                value = labels.tolist()[bad[0]]  # a Python scalar, so a string shows quoted
+                raise ValueError(f"sample {bad[0]}: {name} label {value!r} outside {{0, 1}}")
+        # Cast only checked labels: a cast would cut 0.5 to 0 and warn on NaN.
+        y, z = y.astype(np.int64), z.astype(np.int64)
         check_finite(x)
         for arr in (x, y, z):
             arr.setflags(write=False)

@@ -85,71 +85,89 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- forest
 
 
-def _best_split(xt, yf, sizes, idx, ones, features, min_leaf):
+def _best_split(xt, weights, idx, n, ones, features, min_leaf):
     """Score every sampled feature's thresholds in one pass; return the best split.
 
-    xt is the (d, N) transposed feature matrix and yf the float64 labels.
-    sizes is the float64 (2, N + 1) array of arange(N + 1) and twice it, so a
-    node slices its left-side sizes s and 2 * s, and reads n - s and
-    2 * (n - s) as the same slices reversed; every size is an exact integer
-    in float64. idx is the node's (d, n) array of row indices: row r lists
-    the node's rows sorted by feature r, tied values in row order. ones is
-    the node's label-1 count, passed down from its parent. Thresholds are
-    midpoints t of adjacent sorted values below and above, kept only if
-    below <= t < above: a midpoint that overflows or rounds onto above is
-    skipped, so the left child is exactly the sorted prefix. Ties on gain
-    keep the earlier candidate (feature scan order, then smaller split
-    position), which makes the tree deterministic.
-    Returns (feature, threshold, left child's size, left child's label-1
-    count) or None.
+    xt is the (d, N) transposed feature matrix. weights is the float64
+    (2, N) array of each row's bootstrap count and its count times its
+    label, so a row drawn c times weighs as c copies; every sum of weights
+    is an exact integer in float64. idx is the node's (d, u) array of
+    distinct row indices: row r lists them sorted by feature r, tied values
+    in row order. n and ones are the node's weighted size and label-1
+    count, passed down from its parent. Candidate cut j puts the first j + 1
+    rows of a feature's order on the left. Thresholds are midpoints t of
+    adjacent sorted values below and above, kept only if below <= t <
+    above: a midpoint that overflows or rounds onto above is skipped, so the
+    left child is exactly the sorted prefix. Ties on gain keep the earlier
+    candidate (feature scan order, then smaller cut), which makes the tree
+    deterministic. A cut between two copies of one row would have
+    below == above, so growing over distinct rows scores exactly the
+    candidates, with the same bits and order, that the repeated rows had.
+    Returns (feature, threshold, left child's weighted size, left child's
+    label-1 count) or None.
     """
-    n = idx.shape[1]
     p = ones / n
     parent = 2.0 * p * (1.0 - p)
-    rows = idx.take(features, axis=0)
-    sv = xt[features[:, None], rows]
-    csum = yf.take(rows).cumsum(axis=1)  # exact: integer counts far below 2**53
-    lo, hi = min_leaf - 1, n - min_leaf  # columns s - 1
-    s, s2 = sizes[:, min_leaf:hi + 1]  # left-side sizes, symmetric about n / 2
-    ones_left = csum[:, lo:hi]
+    rows = idx.take(features, axis=0)  # u >= 2: an impure node has two distinct rows
+    sv = xt.ravel().take(rows + (features * xt.shape[1])[:, None])
+    s, ones_left = weights.take(rows[:, :-1], axis=1).cumsum(axis=2)
+    sr = n - s
+    # (2s * pl * (1 - pl) + 2sr * pr * (1 - pr)) / n, in that operand order
+    # so the gains keep their bits, with no temporaries beyond pl, pr, right.
     pl = ones_left / s
-    pr = (float(ones) - ones_left) / s[::-1]
-    weighted = (s2 * pl * (1 - pl) + s2[::-1] * pr * (1 - pr)) / n
-    below, above = sv[:, lo:hi], sv[:, lo + 1:hi + 1]
-    gains = np.where(below < above, parent - weighted, -np.inf)
-    r, at = divmod(int(gains.argmax()), s.size)
+    gains = s + s
+    gains *= pl
+    np.subtract(1.0, pl, out=pl)
+    gains *= pl
+    pr = ones - ones_left
+    pr /= sr
+    right = sr + sr
+    right *= pr
+    np.subtract(1.0, pr, out=pr)
+    right *= pr
+    gains += right
+    gains /= n
+    np.subtract(parent, gains, out=gains)
+    below, above = sv[:, :-1], sv[:, 1:]
+    gains[below >= above] = -np.inf
+    # Every weight is at least 1, so s >= j + 1 and n - s >= u - 1 - j at
+    # cut j: min_leaf can fail only in the first and last min_leaf - 1 cuts.
+    edge = min_leaf - 1
+    head, tail = slice(0, edge), slice(max(s.shape[1] - edge, 0), None)
+    gains[:, head][s[:, head] < min_leaf] = -np.inf
+    gains[:, tail][sr[:, tail] < min_leaf] = -np.inf
+    r, at = divmod(int(gains.argmax()), s.shape[1])
     b, a = float(below[r, at]), float(above[r, at])
     if not b <= (b + a) / 2.0 < a:  # rare: checking the winner first spares most nodes a mask
         with np.errstate(over="ignore"):
             mid = (below + above) / 2.0
         gains[(below > mid) | (mid >= above)] = -np.inf
-        r, at = divmod(int(gains.argmax()), s.size)
+        r, at = divmod(int(gains.argmax()), s.shape[1])
     if not gains[r, at] > 1e-12:
         return None
     thr = (float(below[r, at]) + float(above[r, at])) / 2.0
-    return int(features[r]), thr, at + min_leaf, int(ones_left[r, at])
+    return int(features[r]), thr, int(s[r, at]), int(ones_left[r, at])
 
 
 def _leaf(n, ones, spec, depth):
-    """The leaf of a node with n rows and ones label-1 rows, or None if it may split."""
+    """The leaf of a node of weighted size n with ones label-1 rows, or None if it may split."""
     if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
         return {"leaf": int(2 * ones > n)}  # majority label, ties to 0
     return None
 
 
-def _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, depth):
-    """Grow a node that _leaf lets split from its sorted (d, n) row indices
-    and label-1 count.
+def _grow_tree(xt, weights, idx, n, ones, spec, m, stream, depth):
+    """Grow a node that _leaf lets split from its sorted (d, u) distinct row
+    indices, weighted size and label-1 count.
 
-    The split gives each child's size and label-1 count, so a child that
-    the leaf test (depth, size, purity) ends becomes a leaf at once and is
-    never partitioned. Any other child is compressed out of the raveled
-    idx through one mask, keeping order, so it stays sorted by every
+    The split gives each child's weighted size and label-1 count, so a
+    child that the leaf test (depth, size, purity) ends becomes a leaf at
+    once and is never partitioned. Any other child is compressed out of the
+    raveled idx through one mask, keeping order, so it stays sorted by every
     feature and no node sorts again. An empty child is a leaf.
     """
-    n = idx.shape[1]
     d = xt.shape[0]
-    best = _best_split(xt, yf, sizes, idx, ones, stream.permutation(d)[:m], spec.min_leaf)
+    best = _best_split(xt, weights, idx, n, ones, stream.permutation(d)[:m], spec.min_leaf)
     if best is None:
         return {"leaf": int(2 * ones > n)}
     f, thr, n_left, ones_left = best
@@ -159,11 +177,11 @@ def _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, depth):
         flat = idx.ravel()
         goes_left = xt[f].take(flat) <= thr
         if left is None:
-            left = _grow_tree(xt, yf, sizes, flat.compress(goes_left).reshape(d, -1), ones_left,
-                              spec, m, stream, depth + 1)
+            left = _grow_tree(xt, weights, flat.compress(goes_left).reshape(d, -1), n_left,
+                              ones_left, spec, m, stream, depth + 1)
         if right is None:
-            right = _grow_tree(xt, yf, sizes, flat.compress(~goes_left).reshape(d, -1),
-                               ones - ones_left, spec, m, stream, depth + 1)
+            right = _grow_tree(xt, weights, flat.compress(~goes_left).reshape(d, -1),
+                               n - n_left, ones - ones_left, spec, m, stream, depth + 1)
     return {"feature": f, "threshold": thr, "left": left, "right": right}
 
 
@@ -184,7 +202,11 @@ def _tree_predict(node, x) -> np.ndarray:
 
 
 def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> TrainedModel:
-    """Fit bagged Gini trees, each drawn from seed; prediction is the majority vote."""
+    """Fit bagged Gini trees, each drawn from seed; prediction is the majority vote.
+
+    Each tree grows over the distinct rows its bootstrap drew, each weighted
+    by its draw count, and splits exactly as it would over the repeated rows.
+    """
     x, y = _check_xy(x, y)
     d = x.shape[1]
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
@@ -192,11 +214,10 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
         raise ValueError(f"features_per_split={m} exceeds feature count {d}")
     n = x.shape[0]
     xt = np.ascontiguousarray(x.T)
-    yf = y.astype(np.float64)
-    sizes = np.arange(n + 1.0) * [[1.0], [2.0]]
-    # Sort each feature once per fit, ties in row order. A tree's (d, n)
-    # index repeats each sorted row by its bootstrap count, so it is sorted
-    # too; nodes only partition these lists.
+    ones_and_y = np.stack([np.ones(n), y.astype(np.float64)])
+    # Sort each feature once per fit, ties in row order. A tree's (d, u)
+    # index keeps each row its bootstrap drew, once, in that order, so it is
+    # sorted too; nodes only partition these lists.
     order = np.argsort(xt, axis=1, kind="stable")
     trees = []
     for t in range(spec.n_trees):
@@ -204,10 +225,10 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
         stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.integers(0, n, size=n)
         counts = np.bincount(rows, minlength=n)
-        idx = np.repeat(order.ravel(), counts[order].ravel()).reshape(d, -1)
+        idx = order[counts[order] > 0].reshape(d, -1)
         ones = int(y[rows].sum())
         trees.append(_leaf(n, ones, spec, 0)
-                     or _grow_tree(xt, yf, sizes, idx, ones, spec, m, stream, 0))
+                     or _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec, m, stream, 0))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 
 

@@ -7,6 +7,7 @@ B(1) and C(1) controls how confounded class and group are in feature space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +55,18 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            counts = np.asarray(self.counts, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"counts must fit in int64, got {self.counts}") from None
-        if counts.shape != (2, 2):
-            raise ValueError(f"counts must be 2x2, got shape {counts.shape}")
-        if not (counts == np.asarray(self.counts)).all():
+        cells = np.asarray(self.counts)
+        if cells.shape != (2, 2):
+            raise ValueError(f"counts must be 2x2, got shape {cells.shape}")
+        # Check the values before the int64 cast, which would cut 10.7 to
+        # 10, wrap 2**63 and warn on NaN or inf.
+        values = cells.ravel().tolist()
+        if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+                   for v in values):
             raise ValueError(f"counts must be whole numbers, got {self.counts}")
+        if not all(-2**63 <= v < 2**63 for v in values):
+            raise ValueError(f"counts must fit in int64, got {self.counts}")
+        counts = np.array(values, dtype=np.int64).reshape(2, 2)
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
         if counts.sum() == 0:

@@ -91,6 +91,21 @@ def test_dataset_rejects_labels_outside_0_1():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^features must be finite$"):
             Dataset([[bad], [1.0], [2.0]], [0, 1, 1], [0, 0, 1])
+    # labels are checked before the int64 cast, which would cut 0.5 to 0 and
+    # 1.7 to 1, warn on NaN and parse the string "1"
+    with pytest.raises(ValueError, match=r"^sample 0: class label 0.5 outside \{0, 1\}$"):
+        Dataset(np.zeros((3, 1)), [0.5, 1.7, 0.0], [0, 1, 0.9])
+    with pytest.raises(ValueError, match=r"^sample 2: group label 0.9 outside \{0, 1\}$"):
+        Dataset(np.zeros((3, 1)), [0.0, 1.0, 0.0], [0, 1, 0.9])
+    with pytest.raises(ValueError, match=r"^sample 1: class label nan outside \{0, 1\}$"):
+        Dataset(np.zeros((3, 1)), [0.0, np.nan, 1.0], [0, 1, 1])
+    with pytest.raises(ValueError, match=r"^sample 0: class label '1' outside \{0, 1\}$"):
+        Dataset(np.zeros((3, 1)), ["1", "0", "1"], [0, 1, 1])
+    # whole floats and booleans are labels, stored as int64
+    ds = Dataset(np.zeros((3, 1)), [0.0, 1.0, 1.0], [True, False, True])
+    assert ds.y.dtype == ds.z.dtype == np.int64
+    np.testing.assert_array_equal(ds.y, [0, 1, 1])
+    np.testing.assert_array_equal(ds.z, [1, 0, 1])
 
 
 def test_concat_and_subset():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgmix.models
 from sgmix import ForestSpec, MlpSpec, predict, train_forest, train_mlp
 from sgmix.cli import config_from_settings
 from sgmix.data import feature_standardizer
@@ -186,9 +187,9 @@ def bootstrap_ties_data():
     return x, np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0])
 
 
-@pytest.mark.parametrize("max_depth", [3, 8])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 8])
 @pytest.mark.parametrize("features_per_split", [None, 4])
-@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("min_leaf", [1, 2, 3, 5, 30])
 def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, max_depth):
     no_split = []
     for seed, (x, y) in enumerate([tied_data(0), tied_data(1), tied_data(2),
@@ -198,7 +199,36 @@ def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, ma
         model = train_forest(x, y, spec, seed)
         reference = reference_forest(x, y, spec, seed, no_split)
         assert model.params == reference.params
-    assert no_split  # some impure nodes had no valid split
+    # Depths 1 and 2 and min_leaf 3 and 30 cover nodes narrower than the
+    # min_leaf - 1 edge cuts; such shallow or coarse trees often end every
+    # impure node by depth or size before a split search can come up empty.
+    if max_depth >= 3 and min_leaf in (1, 2, 5):
+        assert no_split  # some impure nodes had no valid split
+
+
+def test_every_split_search_sees_each_drawn_row_once_weighted_by_its_draws(monkeypatch):
+    """At every node, each index row lists the node's rows once, sorted by
+    its feature, and their draw counts and label weights add up to the
+    weighted size and label-1 count the node was given."""
+    real = sgmix.models._best_split
+    repeats = []
+
+    def checked(xt, weights, idx, n, ones, features, min_leaf):
+        rows = set(idx[0].tolist())
+        for f, row in enumerate(idx):
+            assert len(set(row.tolist())) == row.size and set(row.tolist()) == rows
+            assert (np.diff(xt[f].take(row)) >= 0).all()
+        assert weights[0].take(idx[0]).sum() == n
+        assert weights[1].take(idx[0]).sum() == ones
+        repeats.append(idx.shape[1] < n)
+        return real(xt, weights, idx, n, ones, features, min_leaf)
+
+    monkeypatch.setattr("sgmix.models._best_split", checked)
+    for seed, (x, y) in enumerate([tied_data(0), bootstrap_ties_data()]):
+        spec = ForestSpec(n_trees=6, min_leaf=1)
+        model = train_forest(x, y, spec, seed)
+        assert model.params == reference_forest(x, y, spec, seed, []).params
+    assert any(repeats) and not all(repeats)  # some nodes held a row drawn twice
 
 
 def leaf_depths(node, depth=0):

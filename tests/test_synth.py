@@ -114,6 +114,18 @@ def test_scenario_config_rejects_bad_counts():
         ScenarioConfig(counts=[[2**63, 1], [1, 1]])
     with pytest.raises(ValueError, match=r"^counts must be whole numbers, got \[\[10.7, 100"):
         ScenarioConfig(counts=[[10.7, 100], [10, 100]])
+    # counts are checked before the int64 cast, which would warn (an error
+    # under this suite) or raise a TypeError on these
+    for counts in (np.array([[np.nan, 1], [1, 1]]), np.array([[1, np.inf], [1, 1]]),
+                   [[np.nan, 1], [1, 1]], [[1, 1], [-np.inf, 1]]):
+        with pytest.raises(ValueError, match=r"^counts must be whole numbers, got "):
+            ScenarioConfig(counts=counts)
+    for counts in (np.array([[1e19, 1], [1, 1]]), [[1, 1], [1, -1e19]], [[2**64, 1], [1, 1]]):
+        with pytest.raises(ValueError, match=r"^counts must fit in int64, got "):
+            ScenarioConfig(counts=counts)
+    config = ScenarioConfig(counts=np.array([[10.0, 100.0], [10.0, 100.0]]))
+    assert config.counts.dtype == np.int64
+    np.testing.assert_array_equal(config.counts, [[10, 100], [10, 100]])
 
 
 # ---------------------------------------------------------------- presets
