@@ -97,19 +97,26 @@ def _best_split(xt, weights, idx, n, ones, features, min_leaf):
     count, passed down from its parent. Candidate cut j puts the first j + 1
     rows of a feature's order on the left. Thresholds are midpoints t of
     adjacent sorted values below and above, kept only if below <= t <
-    above: a midpoint that overflows or rounds onto above is skipped, so the
-    left child is exactly the sorted prefix. Ties on gain keep the earlier
-    candidate (feature scan order, then smaller cut), which makes the tree
-    deterministic. A cut between two copies of one row would have
-    below == above, so growing over distinct rows scores exactly the
-    candidates, with the same bits and order, that the repeated rows had.
+    above: a cut between equal values, or a midpoint that overflows or
+    rounds onto above, is skipped, so the left child is exactly the sorted
+    prefix. A cut that leaves either side fewer than min_leaf weighted rows
+    is skipped too. Ties on gain keep the earlier candidate (feature scan
+    order, then smaller cut), which makes the tree deterministic. A cut
+    between two copies of one row would have below == above, so growing
+    over distinct rows scores exactly the candidates, with the same bits and
+    order, that the repeated rows had.
+
+    Every rule is checked on the unmasked winner first, and the candidates
+    are gathered and masked only when it breaks one. That is exact: argmax
+    returns the first maximum, masking only lowers gains, and no gain is
+    NaN (every side holds a row), so a valid first maximum of the unmasked
+    gains is also the first maximum of the masked ones.
     Returns (feature, threshold, left child's weighted size, left child's
     label-1 count) or None.
     """
     p = ones / n
     parent = 2.0 * p * (1.0 - p)
     rows = idx.take(features, axis=0)  # u >= 2: an impure node has two distinct rows
-    sv = xt.ravel().take(rows + (features * xt.shape[1])[:, None])
     s, ones_left = weights.take(rows[:, :-1], axis=1).cumsum(axis=2)
     sr = n - s
     # (2s * pl * (1 - pl) + 2sr * pr * (1 - pr)) / n, in that operand order
@@ -128,25 +135,20 @@ def _best_split(xt, weights, idx, n, ones, features, min_leaf):
     gains += right
     gains /= n
     np.subtract(parent, gains, out=gains)
-    below, above = sv[:, :-1], sv[:, 1:]
-    gains[below >= above] = -np.inf
-    # Every weight is at least 1, so s >= j + 1 and n - s >= u - 1 - j at
-    # cut j: min_leaf can fail only in the first and last min_leaf - 1 cuts.
-    edge = min_leaf - 1
-    head, tail = slice(0, edge), slice(max(s.shape[1] - edge, 0), None)
-    gains[:, head][s[:, head] < min_leaf] = -np.inf
-    gains[:, tail][sr[:, tail] < min_leaf] = -np.inf
     r, at = divmod(int(gains.argmax()), s.shape[1])
-    b, a = float(below[r, at]), float(above[r, at])
-    if not b <= (b + a) / 2.0 < a:  # rare: checking the winner first spares most nodes a mask
+    col = xt[features[r]]
+    b, a = float(col[rows[r, at]]), float(col[rows[r, at + 1]])
+    if not (b <= (b + a) / 2.0 < a and s[r, at] >= min_leaf and sr[r, at] >= min_leaf):
+        sv = xt.ravel().take(rows + (features * xt.shape[1])[:, None])
+        below, above = sv[:, :-1], sv[:, 1:]
         with np.errstate(over="ignore"):
             mid = (below + above) / 2.0
-        gains[(below > mid) | (mid >= above)] = -np.inf
+        gains[(below > mid) | (mid >= above) | (s < min_leaf) | (sr < min_leaf)] = -np.inf
         r, at = divmod(int(gains.argmax()), s.shape[1])
+        b, a = float(below[r, at]), float(above[r, at])
     if not gains[r, at] > 1e-12:
         return None
-    thr = (float(below[r, at]) + float(above[r, at])) / 2.0
-    return int(features[r]), thr, int(s[r, at]), int(ones_left[r, at])
+    return int(features[r]), (b + a) / 2.0, int(s[r, at]), int(ones_left[r, at])
 
 
 def _leaf(n, ones, spec, depth):

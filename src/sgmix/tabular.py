@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +124,14 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' comments; dotted prefixes group keys; no repeats."""
+    """Flat `key = value` lines; '#' comments; dotted prefixes group keys; no repeats.
+
+    `\\#` stands for a literal '#' and starts no comment, so a value can hold one.
+    """
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\\)#", raw, maxsplit=1)[0].replace("\\#", "#").strip()
         if not line:
             continue
         if "=" not in line:

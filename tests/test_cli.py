@@ -479,18 +479,19 @@ def test_cli_rejects_csv_with_fewer_than_two_rows(tmp_path, capsys, rows):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("variant", ["byte-order marks", "tab delimiter"])
+@pytest.mark.parametrize("variant", ["byte-order marks", "tab delimiter", "hash delimiter"])
 def test_cli_standin_variants_give_byte_identical_results(tmp_path, standin_path, variant):
     plain_csv = Path(standin_path).read_bytes()
     plain_cfg = "".join(f"{key} = {value}\n" for key, value in
                         {**STANDIN_SCHEMA, "forest.n_trees": "3"}.items()).encode()
     if variant == "byte-order marks":
         data, cfg = b"\xef\xbb\xbf" + plain_csv, b"\xef\xbb\xbf" + plain_cfg
-    else:  # a stripped config value cannot hold a tab, so `\t` names one
+    else:  # a stripped config value cannot hold a tab, so `\t` names one; `\#` is a literal #
+        delimiter, setting = ("\t", b"\\t") if variant == "tab delimiter" else ("#", b"\\#")
         with open(standin_path, newline="") as fh:
             text = io.StringIO()
-            csv.writer(text, delimiter="\t", lineterminator="\n").writerows(csv.reader(fh))
-        data, cfg = text.getvalue().encode(), plain_cfg + b"csv.delimiter = \\t\n"
+            csv.writer(text, delimiter=delimiter, lineterminator="\n").writerows(csv.reader(fh))
+        data, cfg = text.getvalue().encode(), plain_cfg + b"csv.delimiter = " + setting + b"\n"
 
     def results(name, data, cfg):
         data_path, cfg_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.cfg"

@@ -303,6 +303,116 @@ def test_every_split_sends_left_exactly_the_rows_at_or_below_its_threshold(data)
     assert splits > 0
 
 
+def split_node(x, y, counts=None):
+    """_best_split's inputs for the node holding every row of x, each drawn counts[i] times."""
+    x = np.asarray(x, dtype=np.float64).reshape(len(y), -1)
+    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=np.float64)
+    weights = counts * np.stack([np.ones(len(y)), np.asarray(y, dtype=np.float64)])
+    idx = np.argsort(x.T, axis=1, kind="stable")
+    return np.ascontiguousarray(x.T), weights, idx, int(counts.sum()), int(weights[1].sum())
+
+
+def masked_split(xt, weights, idx, n, ones, features, min_leaf):
+    """Score every candidate with _best_split's Gini expression, then mask every
+    invalid one before the argmax. Returns (unmasked winner's rule breaks, split)."""
+    parent = 2.0 * (ones / n) * (1.0 - ones / n)
+    candidates = []
+    for f in features:
+        below, above = xt[f].take(idx[f][:-1]), xt[f].take(idx[f][1:])
+        s, ones_left = weights.take(idx[f][:-1], axis=1).cumsum(axis=1)
+        pl, pr = ones_left / s, (ones - ones_left) / (n - s)
+        gains = parent - ((s + s) * pl * (1.0 - pl) + ((n - s) + (n - s)) * pr * (1.0 - pr)) / n
+        with np.errstate(over="ignore"):
+            mid = (below + above) / 2.0
+        for j in range(s.size):
+            breaks = {"tie": below[j] == above[j],
+                      "midpoint": below[j] != above[j] and not below[j] <= mid[j] < above[j],
+                      "min_leaf": min(s[j], n - s[j]) < min_leaf}
+            candidates.append((gains[j], {k for k, v in breaks.items() if v},
+                               (int(f), float(mid[j]), int(s[j]), int(ones_left[j]))))
+    top = max(gain for gain, _, _ in candidates)
+    winner_breaks = next(b for gain, b, _ in candidates if gain == top)
+    valid = [(gain, split) for gain, b, split in candidates if not b]
+    best = max((gain for gain, _ in valid), default=-np.inf)
+    if not best > 1e-12:
+        return winner_breaks, None
+    return winner_breaks, next(split for gain, split in valid if gain == best)
+
+
+ONE = np.nextafter(1.0, 0.0)
+SPLIT_RULE_NODES = {
+    # the cut between the two 1.0s would split the labels perfectly
+    "tie": ([0.0, 1.0, 1.0, 2.0, 3.0], [0, 0, 1, 1, 1], None, 1, {"tie"}),
+    "head min_leaf": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 1, 1, 1, 1], None, 2, {"min_leaf"}),
+    "tail min_leaf": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 0, 0, 0, 0, 1], None, 2, {"min_leaf"}),
+    # row 0 is drawn twice: the head cut leaves 2 weighted rows, which min_leaf 3 rejects
+    "weighted min_leaf": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 1, 1, 1, 1], [2, 1, 1, 1, 1, 1],
+                          3, {"min_leaf"}),
+    # the midpoint of 1 - 2**-53 and 1.0 rounds onto 1.0
+    "midpoint rounds": ([0.0, ONE, 1.0, 2.0, 3.0], [0, 0, 1, 1, 1], None, 1, {"midpoint"}),
+    "midpoint overflows": ([0.0, 1.6e308, 1.7e308, 1.7e308, 1.75e308], [0, 0, 1, 0, 1], None, 1,
+                           {"midpoint"}),
+    # the tied cuts are the only ones that leave 2 rows on each side
+    "every cut invalid": ([0.0, 0.0, 0.0, 1.0], [1, 1, 0, 1], None, 2, {"tie"}),
+    "all values tied": ([4.0, 4.0, 4.0, 4.0], [0, 1, 0, 1], None, 1, {"tie"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RULE_NODES))
+def test_best_split_masks_a_winner_that_breaks_a_rule(case):
+    """Each node's unmasked best cut breaks the named rule, so the split
+    search masks every invalid candidate and takes the next best, as a
+    scorer that masks before its argmax does."""
+    x, y, counts, min_leaf, rule = SPLIT_RULE_NODES[case]
+    node = split_node(x, y, counts)
+    winner_breaks, expected = masked_split(*node, np.array([0]), min_leaf)
+    assert winner_breaks == rule
+    assert sgmix.models._best_split(*node, np.array([0]), min_leaf) == expected
+    assert (expected is None) == case.startswith(("every", "all"))
+
+
+def test_best_split_matches_masked_scorer_on_random_nodes():
+    """Small tied, rounded and huge-valued nodes at every min_leaf that can
+    bind, over one and several sampled features, with repeated rows."""
+    rng = np.random.default_rng(24)
+    columns = [lambda n: rng.integers(0, 3, n).astype(float),
+               lambda n: np.round(rng.standard_normal(n), 1),
+               lambda n: rng.choice([-1.7e308, -1.6e308, 1.6e308, 1.7e308], n),
+               lambda n: rng.choice([0.0, ONE, 1.0, 5e-324, 1e-323], n)]
+    seen = set()
+    for _ in range(400):
+        n, d = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        x = np.column_stack([columns[rng.integers(0, 4)](n) for _ in range(d)])
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        counts = rng.integers(1, 4, n)
+        node = split_node(x, y, counts)
+        features, min_leaf = rng.permutation(d)[:rng.integers(1, d + 1)], int(rng.integers(1, 6))
+        winner_breaks, expected = masked_split(*node, features, min_leaf)
+        seen |= winner_breaks
+        assert sgmix.models._best_split(*node, features, min_leaf) == expected
+    assert seen == {"tie", "midpoint", "min_leaf"}
+
+
+def test_forest_matches_per_node_sort_reference_on_random_configurations():
+    """Random sizes, feature counts, tie patterns, huge values, min_leaf and
+    depths: every tree equals the per-node sort reference."""
+    rng = np.random.default_rng(2024)
+    columns = [lambda n: rng.standard_normal(n),
+               lambda n: np.round(rng.standard_normal(n), 1),
+               lambda n: rng.integers(0, 3, n).astype(float),
+               lambda n: rng.choice([-1.7e308, -1.6e308, 1.6e308, 1.7e308, 0.0], n)]
+    for _ in range(150):
+        n, d = int(rng.integers(2, 121)), int(rng.integers(1, 7))
+        x = np.column_stack([columns[rng.integers(0, 4)](n) for _ in range(d)])
+        y = rng.integers(0, 2, n)
+        spec = ForestSpec(n_trees=2, max_depth=int(rng.integers(1, 13)),
+                          min_leaf=int(rng.integers(1, 31)),
+                          features_per_split=int(rng.integers(1, d + 1)))
+        seed = int(rng.integers(0, 1000))
+        assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
+
+
 def test_forest_input_validation():
     with pytest.raises(ValueError, match="empty training set"):
         train_forest(np.zeros((0, 2)), np.zeros(0))

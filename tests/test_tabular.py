@@ -243,6 +243,12 @@ def test_parse_config_value_may_contain_equals():
     assert parse_config_text("note = a=b")["note"] == "a=b"
 
 
+def test_parse_config_escaped_hash_is_a_literal_hash():
+    text = "csv.delimiter = \\#\nnote = a\\#b # comment \\# too\n  \\#\\# = x\n# \\# only\n"
+    assert parse_config_text(text) == {"csv.delimiter": "#", "note": "a#b", "##": "x"}
+    assert parse_config_text("csv.delimiter = #")["csv.delimiter"] == ""  # a bare # is a comment
+
+
 def test_parse_config_errors_carry_line_numbers():
     with pytest.raises(ValueError, match="config line 2"):
         parse_config_text("a = 1\nbroken line\n")
