@@ -158,10 +158,11 @@ def _leaf(n, ones, spec, depth):
     return None
 
 
-def _grow_tree(xt, weights, idx, n, ones, spec, m, stream, depth):
+def _grow_tree(xt, weights, idx, n, ones, spec, draws, depth):
     """Grow a node that _leaf lets split from its sorted (d, u) distinct row
     indices, weighted size and label-1 count.
 
+    draws yields each split search's sampled features, taken in preorder.
     The split gives each child's weighted size and label-1 count, so a
     child that the leaf test (depth, size, purity) ends becomes a leaf at
     once and is never partitioned. Any other child is compressed out of the
@@ -169,7 +170,7 @@ def _grow_tree(xt, weights, idx, n, ones, spec, m, stream, depth):
     feature and no node sorts again. An empty child is a leaf.
     """
     d = xt.shape[0]
-    best = _best_split(xt, weights, idx, n, ones, stream.permutation(d)[:m], spec.min_leaf)
+    best = _best_split(xt, weights, idx, n, ones, next(draws), spec.min_leaf)
     if best is None:
         return {"leaf": int(2 * ones > n)}
     f, thr, n_left, ones_left = best
@@ -180,27 +181,84 @@ def _grow_tree(xt, weights, idx, n, ones, spec, m, stream, depth):
         goes_left = xt[f].take(flat) <= thr
         if left is None:
             left = _grow_tree(xt, weights, flat.compress(goes_left).reshape(d, -1), n_left,
-                              ones_left, spec, m, stream, depth + 1)
+                              ones_left, spec, draws, depth + 1)
         if right is None:
             right = _grow_tree(xt, weights, flat.compress(~goes_left).reshape(d, -1),
-                               n - n_left, ones - ones_left, spec, m, stream, depth + 1)
+                               n - n_left, ones - ones_left, spec, draws, depth + 1)
     return {"feature": f, "threshold": thr, "left": left, "right": right}
 
 
-def _tree_predict(node, x) -> np.ndarray:
-    out = np.empty(x.shape[0], dtype=np.int64)
-    stack = [(node, np.arange(x.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if "leaf" in nd:
-            out[idx] = nd["leaf"]
-            continue
-        mask = x[idx, nd["feature"]] <= nd["threshold"]
-        stack.append((nd["left"], idx[mask]))
-        stack.append((nd["right"], idx[~mask]))
-    return out
+_DRAW_BLOCK = 32  # permutations drawn per call while a tree grows
+
+
+def _feature_draws(stream, d, m):
+    """Yield stream.permutation(d)[:m] for each successive draw, _DRAW_BLOCK draws at a time.
+
+    permuted shuffles the block's rows one after another with the draws that
+    as many permutation(d) calls make, so every yield, and the stream's state
+    after each block, is the same. Its rows are drawn whole, so a tree's
+    last block may draw past its growth; the tree's stream is not used after.
+    """
+    rows = np.tile(np.arange(d), (_DRAW_BLOCK, 1))
+    while True:
+        yield from stream.permuted(rows, axis=1)[:, :m]
+
+
+_PREDICT_PAIRS = 1 << 14  # tree-row pairs one block of predict descends at once
+
+
+def _node_table(trees):
+    """Level-order (feature, threshold, child, leaf) arrays of a block of trees, and its depth.
+
+    Level 0 holds the roots, so tree i starts at node i. A split's left and
+    right children sit at child and child + 1. A leaf's threshold is +inf,
+    which every finite value is at or below, and its child is itself, so a
+    row that reaches a leaf stays there; leaf is 0 at splits.
+    """
+    feature, threshold, child, leaf = [], [], [], []
+    level, depth = list(trees), -1
+    while level:
+        below = []
+        base = len(child) + len(level)
+        for node in level:
+            if "leaf" in node:
+                feature.append(0)
+                threshold.append(math.inf)
+                child.append(len(child))
+                leaf.append(node["leaf"])
+            else:
+                feature.append(node["feature"])
+                threshold.append(node["threshold"])
+                child.append(base + len(below))
+                leaf.append(0)
+                below += (node["left"], node["right"])
+        level, depth = below, depth + 1
+    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+            np.array(child, dtype=np.intp), np.array(leaf, dtype=np.int64), depth)
+
+
+def _forest_votes(trees, x) -> np.ndarray:
+    """Each row's count of trees that predict 1.
+
+    Trees descend a block at a time, each block holding as many trees as
+    fit _PREDICT_PAIRS tree-row pairs and at least one. A level is a few
+    takes over the block's (trees, rows) node indices; a row goes left where
+    x <= threshold, so a NaN threshold sends every row right.
+    """
+    n, d = x.shape
+    flat_x, row_start = x.ravel(), np.arange(n) * d
+    block = max(1, _PREDICT_PAIRS // n)
+    votes = np.zeros(n, dtype=np.int64)
+    for start in range(0, len(trees), block):
+        some = trees[start:start + block]
+        feature, threshold, child, leaf, depth = _node_table(some)
+        node = np.repeat(np.arange(len(some)), n).reshape(len(some), n)
+        for _ in range(depth):
+            goes_left = flat_x.take(feature.take(node) + row_start) <= threshold.take(node)
+            node = child.take(node)
+            node += ~goes_left
+        votes += leaf.take(node).sum(axis=0)
+    return votes
 
 
 def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> TrainedModel:
@@ -220,17 +278,18 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
     # Sort each feature once per fit, ties in row order. A tree's (d, u)
     # index keeps each row its bootstrap drew, once, in that order, so it is
     # sorted too; nodes only partition these lists.
-    order = np.argsort(xt, axis=1, kind="stable")
+    flat_order = np.argsort(xt, axis=1, kind="stable").ravel()
     trees = []
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.integers(0, n, size=n)
         counts = np.bincount(rows, minlength=n)
-        idx = order[counts[order] > 0].reshape(d, -1)
+        idx = flat_order.compress((counts > 0).take(flat_order)).reshape(d, -1)
         ones = int(y[rows].sum())
         trees.append(_leaf(n, ones, spec, 0)
-                     or _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec, m, stream, 0))
+                     or _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec,
+                                   _feature_draws(stream, d, m), 0))
     return TrainedModel(kind="forest", dim=d, params={"trees": trees})
 
 
@@ -386,10 +445,8 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         raise ValueError(f"model expects {model.dim} features, got {x.shape[1]}")
     check_finite(x)
     if model.kind == "forest":
-        votes = np.zeros(x.shape[0])
-        for tree in model.params["trees"]:
-            votes += _tree_predict(tree, x)
-        return (votes / len(model.params["trees"]) >= 0.5).astype(np.int64)
+        trees = model.params["trees"]
+        return (_forest_votes(trees, x) / len(trees) >= 0.5).astype(np.int64)
     if model.kind == "mlp":
         p = model.params
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below

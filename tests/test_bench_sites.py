@@ -6,9 +6,9 @@ so the wrap sites are checked here.
 import importlib.util
 from pathlib import Path
 
-from sgmix import augment, harness
+from sgmix import augment, harness, metrics
 from sgmix.data import SubgroupKey, subgroup_indices
-from sgmix.models import ForestSpec, MlpSpec
+from sgmix.models import ForestSpec, MlpSpec, train_forest
 
 from conftest import random_dataset
 
@@ -55,3 +55,17 @@ def test_tracer_binds_model_fit_arguments():
     forest, mlp = tracer.counts["models.train_forest"], tracer.counts["models.train_mlp"]
     assert forest["fits"] == 1 and forest["row_trees"] == 50 * 3
     assert mlp["fits"] == 1 and mlp["sgd_steps"] == 2 * 4  # ceil(50 / 16) batches per epoch
+
+
+def test_tracer_counts_every_tree_of_a_forest_predict():
+    """The tracer reads the forest's tree count from params["trees"]."""
+    ds = random_dataset(2, t=60, d=3)
+    model = train_forest(ds.x, ds.y, ForestSpec(n_trees=17), 3)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        metrics.evaluate(model, ds)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["models.predict"]["row_trees"] == 60 * 17

@@ -413,6 +413,25 @@ def test_forest_matches_per_node_sort_reference_on_random_configurations():
         assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 10, 64])
+def test_feature_draws_match_one_permutation_per_search(d):
+    """The block draws yield exactly what one permutation(d) call per split
+    search gives, over more than two blocks, and leave the stream where as
+    many calls would after each whole block."""
+    assert 150 > 2 * sgmix.models._DRAW_BLOCK
+    for m in sorted({1, math.isqrt(d - 1) + 1, d}):
+        path = (STREAM_OFFSETS["model-init"], m)
+        stream, reference = RngStream(d, path), RngStream(d, path)
+        draws = sgmix.models._feature_draws(stream, d, m)
+        for _ in range(150):
+            got = next(draws)
+            assert got.shape == (m,)
+            np.testing.assert_array_equal(got, reference.permutation(d)[:m])
+        for _ in range(-150 % sgmix.models._DRAW_BLOCK):  # drain to the block's end
+            np.testing.assert_array_equal(next(draws), reference.permutation(d)[:m])
+        assert stream.integers(0, 2**62) == reference.integers(0, 2**62)
+
+
 def test_forest_input_validation():
     with pytest.raises(ValueError, match="empty training set"):
         train_forest(np.zeros((0, 2)), np.zeros(0))
@@ -662,6 +681,129 @@ def test_stacked_mlps_reject_mismatched_or_missing_datasets():
 
 
 # ---------------------------------------------------------------- predict
+
+
+def _ref_tree_predict(node, x) -> np.ndarray:
+    """One tree's labels, walked node by node with each node's rows."""
+    out = np.empty(x.shape[0], dtype=np.int64)
+    stack = [(node, np.arange(x.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if "leaf" in nd:
+            out[idx] = nd["leaf"]
+            continue
+        mask = x[idx, nd["feature"]] <= nd["threshold"]
+        stack.append((nd["left"], idx[mask]))
+        stack.append((nd["right"], idx[~mask]))
+    return out
+
+
+def assert_predict_matches_per_tree_walk(model, x):
+    """predict gives each tree's vote, summed, and its majority, as walking
+    every tree alone does."""
+    x = np.asarray(x, dtype=np.float64)
+    trees = model.params["trees"]
+    votes = sum(_ref_tree_predict(tree, x) for tree in trees)
+    np.testing.assert_array_equal(sgmix.models._forest_votes(trees, x), votes)
+    expected = (votes / len(trees) >= 0.5).astype(np.int64)
+    assert predict(model, x).tobytes() == expected.tobytes()
+
+
+def thresholds_of(node):
+    if "leaf" in node:
+        return []
+    return [(node["feature"], node["threshold"])] + thresholds_of(node["left"]) + thresholds_of(
+        node["right"])
+
+
+@pytest.mark.parametrize("max_depth", range(1, 13))
+def test_forest_predict_matches_per_tree_walk_at_every_depth(max_depth):
+    x, y = separated_data(30, n=400, d=4, margin=0.3)  # noisy, grows every depth allowed
+    model = train_forest(x, y, ForestSpec(n_trees=20, max_depth=max_depth, min_leaf=1), 4)
+    assert max(tree_depth(tree) for tree in model.params["trees"]) == max_depth
+    assert_predict_matches_per_tree_walk(model, np.concatenate([x, separated_data(31, d=4)[0]]))
+
+
+@pytest.mark.parametrize("n_trees", [1, 15, 16, 17, 100])
+def test_forest_predict_matches_per_tree_walk_across_block_edges(n_trees):
+    """1,024 rows leave 16 trees per block: one short block, one full, one
+    full and one tree over, and six full and one short."""
+    rows = 1024
+    assert sgmix.models._PREDICT_PAIRS // rows == 16
+    x, y = separated_data(32, n=200, d=3, margin=0.5)
+    model = train_forest(x, y, ForestSpec(n_trees=n_trees), 5)
+    assert_predict_matches_per_tree_walk(model, separated_data(33, n=rows, margin=0.5)[0])
+
+
+def test_forest_predict_matches_per_tree_walk_on_rows_at_thresholds():
+    """Rows whose value is a split's threshold, or the next double either
+    side of it, on tied features."""
+    x, y = tied_data(3)
+    model = train_forest(x, y, ForestSpec(n_trees=12, min_leaf=1), 6)
+    rng = np.random.default_rng(6)
+    cuts = sorted({cut for tree in model.params["trees"] for cut in thresholds_of(tree)})
+    rows = []
+    for f, t in cuts:
+        for value in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+            row = x[rng.integers(0, len(x))].copy()
+            row[f] = value
+            rows.append(row)
+    assert len(cuts) > 20
+    assert_predict_matches_per_tree_walk(model, np.concatenate([x, rows]))
+
+
+def test_forest_predict_on_single_leaf_trees_and_one_row():
+    x, y = separated_data(34, n=60)
+    for label in (0, 1):
+        model = train_forest(x, np.full(60, label), ForestSpec(n_trees=17))
+        assert all("leaf" in tree for tree in model.params["trees"])
+        assert_predict_matches_per_tree_walk(model, x)
+        np.testing.assert_array_equal(predict(model, x), np.full(60, label))
+    # a tied vote goes to 1
+    tied = TrainedModel(kind="forest", dim=3, params={"trees": [{"leaf": 0}, {"leaf": 1}]})
+    np.testing.assert_array_equal(predict(tied, x[:2]), [1, 1])
+    model = train_forest(x, y, ForestSpec(n_trees=100), 7)
+    for row in x[:5]:
+        assert_predict_matches_per_tree_walk(model, row[None, :])
+
+
+def test_forest_predict_on_nonfinite_thresholds():
+    """x <= t decides: every row goes left at +inf and right at -inf and
+    NaN, at any depth, beside leaves of other depths."""
+    def stump(f, t, left=0, right=1):
+        return {"feature": f, "threshold": t, "left": {"leaf": left}, "right": {"leaf": right}}
+
+    trees = [stump(0, np.nan), stump(1, np.inf), stump(0, -np.inf),
+             {"feature": 1, "threshold": 0.0, "left": stump(0, np.nan, 1, 0),
+              "right": {"feature": 0, "threshold": 0.5, "left": {"leaf": 1},
+                        "right": stump(1, np.inf, 0, 1)}}]
+    x = np.array([[-1.0, -1.0], [0.0, 0.0], [0.5, 2.0], [1.0, 3.0], [-1e308, 1e308]])
+    expected = {0: [1] * 5, 1: [0] * 5, 2: [1] * 5, 3: [0, 0, 1, 0, 1]}
+    for i, tree in enumerate(trees):
+        model = TrainedModel(kind="forest", dim=2, params={"trees": [tree]})
+        np.testing.assert_array_equal(predict(model, x), expected[i])
+        assert_predict_matches_per_tree_walk(model, x)
+    assert_predict_matches_per_tree_walk(TrainedModel(kind="forest", dim=2,
+                                                      params={"trees": trees}), x)
+
+
+def test_forest_predict_peak_memory_stays_near_the_features():
+    # 20,000 rows leave one tree per block. A per-tree walk
+    # (_ref_tree_predict, summing votes) peaks at 1.4x x.nbytes here: the
+    # votes, one tree's labels and the row lists of its open nodes. A block
+    # of one tree holds a few row-length arrays, about 1.8x. Descending all
+    # 100 trees at once would peak near 110x.
+    model = train_forest(*separated_data(35, n=300, margin=0.5), ForestSpec(n_trees=100))
+    x, _ = separated_data(36, n=20_000, margin=0.5)
+    tracemalloc.start()
+    try:
+        predict(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * x.nbytes, peak / x.nbytes
 
 
 def test_predict_empty_matrix():
