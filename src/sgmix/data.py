@@ -1,6 +1,7 @@
 """Data model for group-annotated labeled tabular data and subgroup bookkeeping."""
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +81,11 @@ class Dataset:
         return f"Dataset(T={len(self)}, d={self.dim})"
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at integer positions indices, in that order."""
+        idx = np.asarray(indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return Dataset(self._x[idx], self._y[idx], self._z[idx])
 
 
@@ -109,11 +114,23 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
 
 
+def check_integer(**values) -> None:
+    """Reject any named value that is not an integer, such as 2.5 or 2.0.
+
+    range and numpy would truncate such a size or seed, or fail deep inside a
+    run, so it is a config error.
+    """
+    for name, value in values.items():
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def check_int64(**sizes) -> None:
-    """Reject any named integer that does not fit in int64.
+    """Reject any named size that is not an integer or does not fit in int64.
 
     A size past int64 cannot describe a run that ends, so it is a config error.
     """
+    check_integer(**sizes)
     for name, value in sizes.items():
         if value is not None and not -2**63 <= value < 2**63:
             raise ValueError(f"{name} must fit in int64, got {value}")

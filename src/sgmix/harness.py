@@ -29,7 +29,9 @@ from .augment import (
     group_swap_augment,
     vanilla_mixup,
 )
-from .data import ALL_SUBGROUPS, Dataset, check_int64, concat, subgroup_indices
+from .data import (
+    ALL_SUBGROUPS, Dataset, check_int64, check_integer, concat, subgroup_indices,
+)
 from .metrics import evaluate
 from .models import (
     ForestSpec,
@@ -121,6 +123,7 @@ class ExperimentConfig:
         check_int64(replicates=self.replicates, k=self.k)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        check_integer(seed=self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("test_fraction", "validation_fraction"):

@@ -58,7 +58,14 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A fitted classifier: kind is 'forest' or 'mlp', params are opaque."""
+    """A fitted classifier: kind is 'forest' or 'mlp'.
+
+    A forest's params are one node table for all its trees: "feature",
+    "threshold", "child" and "leaf" hold one entry per node (see _grow_tree),
+    "trees" holds each tree's root node, and "depth" is the deepest level any
+    leaf reached. An MLP's are its weights "W1", "b1", "w2", "b2" and the
+    input scaling "mean" and "std".
+    """
 
     kind: str
     dim: int
@@ -151,17 +158,22 @@ def _best_split(xt, weights, idx, n, ones, features, min_leaf):
     return int(features[r]), (b + a) / 2.0, int(s[r, at]), int(ones_left[r, at])
 
 
-def _leaf(n, ones, spec, depth):
-    """The leaf of a node of weighted size n with ones label-1 rows, or None if it may split."""
+def _leaf(n, ones, spec, depth, at):
+    """Node at's leaf row, of weighted size n with ones label-1 rows, or None if it may split."""
     if depth >= spec.max_depth or n < 2 * spec.min_leaf or ones in (0, n):
-        return {"leaf": int(2 * ones > n)}  # majority label, ties to 0
+        return 0, math.inf, at, int(2 * ones > n)  # majority label, ties to 0
     return None
 
 
-def _grow_tree(xt, weights, idx, n, ones, spec, draws, depth):
-    """Grow a node that _leaf lets split from its sorted (d, u) distinct row
-    indices, weighted size and label-1 count.
+def _grow_tree(xt, weights, idx, n, ones, spec, draws, depth, nodes, at):
+    """Grow node at, which _leaf lets split, into nodes from its sorted (d, u)
+    distinct row indices, weighted size and label-1 count; return the depth
+    of its deepest leaf.
 
+    nodes holds one (feature, threshold, child, leaf) row per node. A split
+    appends its two children as adjacent rows, the left one at child, and
+    its leaf is 0. A leaf's threshold is +inf, which every finite value is at
+    or below, and its child is itself, so a row that reaches it stays there.
     draws yields each split search's sampled features, taken in preorder.
     The split gives each child's weighted size and label-1 count, so a
     child that the leaf test (depth, size, purity) ends becomes a leaf at
@@ -172,20 +184,26 @@ def _grow_tree(xt, weights, idx, n, ones, spec, draws, depth):
     d = xt.shape[0]
     best = _best_split(xt, weights, idx, n, ones, next(draws), spec.min_leaf)
     if best is None:
-        return {"leaf": int(2 * ones > n)}
+        nodes[at] = 0, math.inf, at, int(2 * ones > n)
+        return depth
     f, thr, n_left, ones_left = best
-    left = _leaf(n_left, ones_left, spec, depth + 1)
-    right = _leaf(n - n_left, ones - ones_left, spec, depth + 1)
+    c = len(nodes)
+    left = _leaf(n_left, ones_left, spec, depth + 1, c)
+    right = _leaf(n - n_left, ones - ones_left, spec, depth + 1, c + 1)
+    nodes[at] = f, thr, c, 0
+    nodes += left, right
+    deepest = depth + 1
     if left is None or right is None:
         flat = idx.ravel()
         goes_left = xt[f].take(flat) <= thr
         if left is None:
-            left = _grow_tree(xt, weights, flat.compress(goes_left).reshape(d, -1), n_left,
-                              ones_left, spec, draws, depth + 1)
+            deepest = _grow_tree(xt, weights, flat.compress(goes_left).reshape(d, -1), n_left,
+                                 ones_left, spec, draws, depth + 1, nodes, c)
         if right is None:
-            right = _grow_tree(xt, weights, flat.compress(~goes_left).reshape(d, -1),
-                               n - n_left, ones - ones_left, spec, draws, depth + 1)
-    return {"feature": f, "threshold": thr, "left": left, "right": right}
+            deepest = max(deepest, _grow_tree(
+                xt, weights, flat.compress(~goes_left).reshape(d, -1), n - n_left,
+                ones - ones_left, spec, draws, depth + 1, nodes, c + 1))
+    return deepest
 
 
 _DRAW_BLOCK = 32  # permutations drawn per call while a tree grows
@@ -207,37 +225,7 @@ def _feature_draws(stream, d, m):
 _PREDICT_PAIRS = 1 << 14  # tree-row pairs one block of predict descends at once
 
 
-def _node_table(trees):
-    """Level-order (feature, threshold, child, leaf) arrays of a block of trees, and its depth.
-
-    Level 0 holds the roots, so tree i starts at node i. A split's left and
-    right children sit at child and child + 1. A leaf's threshold is +inf,
-    which every finite value is at or below, and its child is itself, so a
-    row that reaches a leaf stays there; leaf is 0 at splits.
-    """
-    feature, threshold, child, leaf = [], [], [], []
-    level, depth = list(trees), -1
-    while level:
-        below = []
-        base = len(child) + len(level)
-        for node in level:
-            if "leaf" in node:
-                feature.append(0)
-                threshold.append(math.inf)
-                child.append(len(child))
-                leaf.append(node["leaf"])
-            else:
-                feature.append(node["feature"])
-                threshold.append(node["threshold"])
-                child.append(base + len(below))
-                leaf.append(0)
-                below += (node["left"], node["right"])
-        level, depth = below, depth + 1
-    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
-            np.array(child, dtype=np.intp), np.array(leaf, dtype=np.int64), depth)
-
-
-def _forest_votes(trees, x) -> np.ndarray:
+def _forest_votes(params, x) -> np.ndarray:
     """Each row's count of trees that predict 1.
 
     Trees descend a block at a time, each block holding as many trees as
@@ -245,15 +233,15 @@ def _forest_votes(trees, x) -> np.ndarray:
     takes over the block's (trees, rows) node indices; a row goes left where
     x <= threshold, so a NaN threshold sends every row right.
     """
+    roots, feature, threshold, child, leaf = (
+        params[key] for key in ("trees", "feature", "threshold", "child", "leaf"))
     n, d = x.shape
     flat_x, row_start = x.ravel(), np.arange(n) * d
     block = max(1, _PREDICT_PAIRS // n)
     votes = np.zeros(n, dtype=np.int64)
-    for start in range(0, len(trees), block):
-        some = trees[start:start + block]
-        feature, threshold, child, leaf, depth = _node_table(some)
-        node = np.repeat(np.arange(len(some)), n).reshape(len(some), n)
-        for _ in range(depth):
+    for start in range(0, len(roots), block):
+        node = np.repeat(roots[start:start + block], n).reshape(-1, n)
+        for _ in range(params["depth"]):
             goes_left = flat_x.take(feature.take(node) + row_start) <= threshold.take(node)
             node = child.take(node)
             node += ~goes_left
@@ -279,7 +267,7 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
     # index keeps each row its bootstrap drew, once, in that order, so it is
     # sorted too; nodes only partition these lists.
     flat_order = np.argsort(xt, axis=1, kind="stable").ravel()
-    trees = []
+    nodes, roots, depth = [], [], 0
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
@@ -287,10 +275,18 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
         counts = np.bincount(rows, minlength=n)
         idx = flat_order.compress((counts > 0).take(flat_order)).reshape(d, -1)
         ones = int(y[rows].sum())
-        trees.append(_leaf(n, ones, spec, 0)
-                     or _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec,
-                                   _feature_draws(stream, d, m), 0))
-    return TrainedModel(kind="forest", dim=d, params={"trees": trees})
+        root = len(nodes)
+        roots.append(root)
+        nodes.append(_leaf(n, ones, spec, 0, root))
+        if nodes[root] is None:
+            depth = max(depth, _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec,
+                                          _feature_draws(stream, d, m), 0, nodes, root))
+    feature, threshold, child, leaf = zip(*nodes)
+    return TrainedModel(kind="forest", dim=d, params={
+        "trees": np.array(roots, dtype=np.intp), "feature": np.array(feature, dtype=np.intp),
+        "threshold": np.array(threshold, dtype=np.float64),
+        "child": np.array(child, dtype=np.intp), "leaf": np.array(leaf, dtype=np.int64),
+        "depth": depth})
 
 
 # ---------------------------------------------------------------- mlp
@@ -445,8 +441,8 @@ def predict(model: TrainedModel, features) -> np.ndarray:
         raise ValueError(f"model expects {model.dim} features, got {x.shape[1]}")
     check_finite(x)
     if model.kind == "forest":
-        trees = model.params["trees"]
-        return (_forest_votes(trees, x) / len(trees) >= 0.5).astype(np.int64)
+        votes = _forest_votes(model.params, x)
+        return (votes / len(model.params["trees"]) >= 0.5).astype(np.int64)
     if model.kind == "mlp":
         p = model.params
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below

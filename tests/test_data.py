@@ -119,3 +119,14 @@ def test_concat_and_subset():
     np.testing.assert_array_equal(sub.x[1], both.x[7])
     with pytest.raises(ValueError, match="dimension mismatch"):
         concat(a, random_dataset(2, t=3, d=5))
+
+
+def test_subset_rejects_non_integer_indices():
+    """A boolean mask or float positions would be cast to row numbers
+    (rows 0, 1, 1 for [False, True, True]; row 0 for [0.7])."""
+    ds = random_dataset(3, t=3, d=2)
+    for bad in (np.array([False, True, True]), [0.7], np.array([1.0])):
+        with pytest.raises(ValueError, match="subset indices must be integers"):
+            ds.subset(bad)
+    assert len(ds.subset([])) == 0
+    np.testing.assert_array_equal(ds.subset(np.array([2, 0], dtype=np.int32)).x, ds.x[[2, 0]])

@@ -182,7 +182,9 @@ def test_run_method_deterministic():
     a = run_method(train, "fsgm", "forest", config, seed=3, alpha=0.5)
     b = run_method(train, "fsgm", "forest", config, seed=3, alpha=0.5)
     np.testing.assert_array_equal(a.train_data.x, b.train_data.x)
-    assert a.model.params == b.model.params
+    assert list(a.model.params) == list(b.model.params)
+    for key, value in a.model.params.items():
+        assert np.array_equal(value, b.model.params[key]), key
 
 
 # ---------------------------------------------------------------- alpha search
@@ -254,8 +256,7 @@ def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch)
         # The per-alpha fits are the oracle for the search's own (stacked) fits.
         assert list(model.params) == list(run.model.params)
         for key, value in run.model.params.items():
-            assert (model.params[key] == value if model_kind == "forest"
-                    else np.array_equal(model.params[key], value)), (alpha, key)
+            assert np.array_equal(model.params[key], value), (alpha, key)
         result = evaluate(run.model, inner_val)
         recomputed[alpha] = result.accuracy + result.fairness
     assert scores == recomputed
@@ -577,6 +578,25 @@ def test_experiment_config_validation():
         ExperimentConfig(scenario="unbalanced-groups", models=("forest", "forest"))
     with pytest.raises(ValueError, match="counts must be whole numbers"):
         ExperimentConfig(scenario="unbalanced-groups", counts=[[10.7, 100], [10, 100]])
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: ForestSpec(n_trees=2.5), "n_trees"),
+    (lambda: ForestSpec(max_depth=2.5), "max_depth"),
+    (lambda: MlpSpec(epochs=1.5), "epochs"),
+    (lambda: ExperimentConfig(scenario="unbalanced-groups", replicates=1.5), "replicates"),
+    (lambda: ExperimentConfig(scenario="unbalanced-groups", k=2.5), "k"),
+    (lambda: ExperimentConfig(scenario="unbalanced-groups", seed=1.5), "seed"),
+])
+def test_fractional_sizes_and_seeds_are_config_errors(make, name):
+    """A fractional size or seed is rejected up front, not truncated, run
+    silently or failed deep inside range."""
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got [12]\.5$"):
+        make()
+
+
+def test_seed_has_no_upper_bound():
+    assert ExperimentConfig(scenario="unbalanced-groups", seed=2**70).seed == 2**70
 
 
 @pytest.mark.parametrize("override", [

@@ -3,7 +3,8 @@ import pytest
 
 from sgmix import Dataset, accuracy, dp_gap, evaluate, fairness_score
 from sgmix.metrics import EvalResult
-from sgmix.models import TrainedModel
+
+from conftest import forest_model
 
 
 # ---------------------------------------------------------------- accuracy
@@ -87,7 +88,7 @@ def test_constant_predictor_is_perfectly_fair():
 def stump_model():
     # single tree: positive iff first feature exceeds zero
     tree = {"feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}
-    return TrainedModel(kind="forest", dim=2, params={"trees": [tree]})
+    return forest_model([tree], 2)
 
 
 def test_evaluate_hand_built_six_samples():

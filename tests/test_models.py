@@ -21,6 +21,8 @@ from sgmix.models import (
 from sgmix.rng import STREAM_OFFSETS, RngStream
 from sgmix.tabular import load_config, load_csv
 
+from conftest import forest_model, tree_dicts
+
 BENCH_SCHEMA = Path(__file__).resolve().parents[1] / "perfbench" / "admissions.cfg"
 
 
@@ -58,7 +60,7 @@ def test_forest_generalizes_on_separated_clusters():
 
 def test_hand_built_stump_predictions():
     tree = {"feature": 1, "threshold": 0.5, "left": {"leaf": 0}, "right": {"leaf": 1}}
-    model = TrainedModel(kind="forest", dim=2, params={"trees": [tree]})
+    model = forest_model([tree], 2)
     x = np.array([[9.0, 0.4], [9.0, 0.5], [9.0, 0.6], [-9.0, 2.0]])
     # x <= threshold goes left
     np.testing.assert_array_equal(predict(model, x), [0, 0, 1, 1])
@@ -74,17 +76,35 @@ def test_forest_respects_max_depth():
     x, y = separated_data(4, n=300, d=5, margin=0.3)  # noisy, forces deep growth
     spec = ForestSpec(n_trees=10, max_depth=3, min_leaf=1)
     model = train_forest(x, y, spec, 2)
-    assert all(tree_depth(t) <= 3 for t in model.params["trees"])
+    assert all(tree_depth(t) <= 3 for t in tree_dicts(model))
+
+
+def test_forest_depth_is_the_deepest_grown_leaf_not_max_depth():
+    """predict descends params["depth"] levels, so a huge max_depth on
+    shallow trees must cost only the levels the trees have."""
+    x, y = separated_data(12, n=120)
+    spec = ForestSpec(n_trees=5, max_depth=10**9)
+    for label in (0, 1):
+        model = train_forest(x, np.full(120, label), spec)
+        assert model.params["depth"] == 0
+        np.testing.assert_array_equal(predict(model, x), np.full(120, label))
+    model = train_forest(x, y, spec)
+    assert model.params["depth"] == max(tree_depth(tree) for tree in tree_dicts(model)) > 0
 
 
 def test_forest_deterministic():
     x, y = separated_data(5)
     a = train_forest(x, y, ForestSpec(n_trees=8), 7)
     b = train_forest(x, y, ForestSpec(n_trees=8), 7)
-    assert a.params == b.params
+    # The table is exactly forest_model's layout of its own trees.
+    for same in (b, forest_model(tree_dicts(a), a.dim)):
+        assert list(same.params) == list(a.params)
+        for key, value in a.params.items():
+            assert np.asarray(value).dtype == np.asarray(same.params[key]).dtype, key
+            assert np.asarray(value).tobytes() == np.asarray(same.params[key]).tobytes(), key
     c = train_forest(x, y, ForestSpec(n_trees=8), 8)
     xt, _ = separated_data(6, margin=0.0)
-    assert not np.array_equal(predict(a, xt), predict(c, xt)) or a.params != c.params
+    assert not np.array_equal(predict(a, xt), predict(c, xt)) or tree_dicts(a) != tree_dicts(c)
 
 
 def _ref_gini(ones, total):
@@ -147,7 +167,8 @@ def _ref_grow_tree(x, y, rows, spec, m, stream, depth, no_split):
 
 
 def reference_forest(x, y, spec, seed, no_split):
-    """Per-node, per-feature argsort trees with the same RNG draws as train_forest."""
+    """Per-node, per-feature argsort trees with the same RNG draws as
+    train_forest, as tree_dicts reads them."""
     d = x.shape[1]
     m = spec.features_per_split if spec.features_per_split is not None else math.isqrt(d - 1) + 1
     trees = []
@@ -155,7 +176,7 @@ def reference_forest(x, y, spec, seed, no_split):
         stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
         rows = stream.integers(0, x.shape[0], size=x.shape[0])
         trees.append(_ref_grow_tree(x, y, rows, spec, m, stream, 0, no_split))
-    return TrainedModel(kind="forest", dim=d, params={"trees": trees})
+    return trees
 
 
 def tied_data(seed, n=160):
@@ -197,8 +218,7 @@ def test_forest_matches_per_node_sort_reference(min_leaf, features_per_split, ma
         spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf,
                           features_per_split=features_per_split)
         model = train_forest(x, y, spec, seed)
-        reference = reference_forest(x, y, spec, seed, no_split)
-        assert model.params == reference.params
+        assert tree_dicts(model) == reference_forest(x, y, spec, seed, no_split)
     # Depths 1 and 2 and min_leaf 3 and 30 cover nodes narrower than the
     # min_leaf - 1 edge cuts; such shallow or coarse trees often end every
     # impure node by depth or size before a split search can come up empty.
@@ -227,7 +247,7 @@ def test_every_split_search_sees_each_drawn_row_once_weighted_by_its_draws(monke
     for seed, (x, y) in enumerate([tied_data(0), bootstrap_ties_data()]):
         spec = ForestSpec(n_trees=6, min_leaf=1)
         model = train_forest(x, y, spec, seed)
-        assert model.params == reference_forest(x, y, spec, seed, []).params
+        assert tree_dicts(model) == reference_forest(x, y, spec, seed, [])
     assert any(repeats) and not all(repeats)  # some nodes held a row drawn twice
 
 
@@ -246,8 +266,8 @@ def test_forest_leaf_children_match_per_node_sort_reference(max_depth, min_leaf)
     for seed, (x, y) in enumerate([tied_data(0), tied_data(1), bootstrap_ties_data()]):
         spec = ForestSpec(n_trees=6, max_depth=max_depth, min_leaf=min_leaf)
         model = train_forest(x, y, spec, seed)
-        assert model.params == reference_forest(x, y, spec, seed, []).params
-        depths += [d for tree in model.params["trees"] for d in leaf_depths(tree)]
+        assert tree_dicts(model) == reference_forest(x, y, spec, seed, [])
+        depths += [d for tree in tree_dicts(model) for d in leaf_depths(tree)]
     assert max(depths) >= min(max_depth, 2)  # some trees split, and twice where they may
     if max_depth == 8:
         assert min(depths) < max_depth  # some children stop early on size or purity
@@ -260,7 +280,7 @@ def test_forest_matches_per_node_sort_reference_on_bundled_csv(seed, standin_pat
     data = load_csv(config.csv_path, config.csv_schema)
     x, y = data.x[:300], data.y[:300]
     spec = ForestSpec(n_trees=4)
-    assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
+    assert tree_dicts(train_forest(x, y, spec, seed)) == reference_forest(x, y, spec, seed, [])
 
 
 def overflow_data():
@@ -286,9 +306,9 @@ def test_every_split_sends_left_exactly_the_rows_at_or_below_its_threshold(data)
     x, y = data()
     spec = ForestSpec(n_trees=8, max_depth=8, min_leaf=1, features_per_split=2)
     model = train_forest(x, y, spec, 3)
-    assert model.params == reference_forest(x, y, spec, 3, []).params
+    assert tree_dicts(model) == reference_forest(x, y, spec, 3, [])
     splits = 0
-    for t, tree in enumerate(model.params["trees"]):
+    for t, tree in enumerate(tree_dicts(model)):
         stream = RngStream(3, (STREAM_OFFSETS["model-init"], t))
         stack = [(tree, stream.integers(0, x.shape[0], size=x.shape[0]))]
         while stack:
@@ -410,7 +430,7 @@ def test_forest_matches_per_node_sort_reference_on_random_configurations():
                           min_leaf=int(rng.integers(1, 31)),
                           features_per_split=int(rng.integers(1, d + 1)))
         seed = int(rng.integers(0, 1000))
-        assert train_forest(x, y, spec, seed).params == reference_forest(x, y, spec, seed, []).params
+        assert tree_dicts(train_forest(x, y, spec, seed)) == reference_forest(x, y, spec, seed, [])
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 10, 64])
@@ -704,9 +724,9 @@ def assert_predict_matches_per_tree_walk(model, x):
     """predict gives each tree's vote, summed, and its majority, as walking
     every tree alone does."""
     x = np.asarray(x, dtype=np.float64)
-    trees = model.params["trees"]
+    trees = tree_dicts(model)
     votes = sum(_ref_tree_predict(tree, x) for tree in trees)
-    np.testing.assert_array_equal(sgmix.models._forest_votes(trees, x), votes)
+    np.testing.assert_array_equal(sgmix.models._forest_votes(model.params, x), votes)
     expected = (votes / len(trees) >= 0.5).astype(np.int64)
     assert predict(model, x).tobytes() == expected.tobytes()
 
@@ -722,7 +742,7 @@ def thresholds_of(node):
 def test_forest_predict_matches_per_tree_walk_at_every_depth(max_depth):
     x, y = separated_data(30, n=400, d=4, margin=0.3)  # noisy, grows every depth allowed
     model = train_forest(x, y, ForestSpec(n_trees=20, max_depth=max_depth, min_leaf=1), 4)
-    assert max(tree_depth(tree) for tree in model.params["trees"]) == max_depth
+    assert max(tree_depth(tree) for tree in tree_dicts(model)) == model.params["depth"] == max_depth
     assert_predict_matches_per_tree_walk(model, np.concatenate([x, separated_data(31, d=4)[0]]))
 
 
@@ -743,7 +763,7 @@ def test_forest_predict_matches_per_tree_walk_on_rows_at_thresholds():
     x, y = tied_data(3)
     model = train_forest(x, y, ForestSpec(n_trees=12, min_leaf=1), 6)
     rng = np.random.default_rng(6)
-    cuts = sorted({cut for tree in model.params["trees"] for cut in thresholds_of(tree)})
+    cuts = sorted({cut for tree in tree_dicts(model) for cut in thresholds_of(tree)})
     rows = []
     for f, t in cuts:
         for value in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
@@ -758,11 +778,11 @@ def test_forest_predict_on_single_leaf_trees_and_one_row():
     x, y = separated_data(34, n=60)
     for label in (0, 1):
         model = train_forest(x, np.full(60, label), ForestSpec(n_trees=17))
-        assert all("leaf" in tree for tree in model.params["trees"])
+        assert all("leaf" in tree for tree in tree_dicts(model))
         assert_predict_matches_per_tree_walk(model, x)
         np.testing.assert_array_equal(predict(model, x), np.full(60, label))
     # a tied vote goes to 1
-    tied = TrainedModel(kind="forest", dim=3, params={"trees": [{"leaf": 0}, {"leaf": 1}]})
+    tied = forest_model([{"leaf": 0}, {"leaf": 1}], 3)
     np.testing.assert_array_equal(predict(tied, x[:2]), [1, 1])
     model = train_forest(x, y, ForestSpec(n_trees=100), 7)
     for row in x[:5]:
@@ -782,11 +802,10 @@ def test_forest_predict_on_nonfinite_thresholds():
     x = np.array([[-1.0, -1.0], [0.0, 0.0], [0.5, 2.0], [1.0, 3.0], [-1e308, 1e308]])
     expected = {0: [1] * 5, 1: [0] * 5, 2: [1] * 5, 3: [0, 0, 1, 0, 1]}
     for i, tree in enumerate(trees):
-        model = TrainedModel(kind="forest", dim=2, params={"trees": [tree]})
+        model = forest_model([tree], 2)
         np.testing.assert_array_equal(predict(model, x), expected[i])
         assert_predict_matches_per_tree_walk(model, x)
-    assert_predict_matches_per_tree_walk(TrainedModel(kind="forest", dim=2,
-                                                      params={"trees": trees}), x)
+    assert_predict_matches_per_tree_walk(forest_model(trees, 2), x)
 
 
 def test_forest_predict_peak_memory_stays_near_the_features():
@@ -841,7 +860,7 @@ def test_models_ignore_group_column_by_construction():
     assert not np.array_equal(z_a, z_b)
     a = train_forest(x, y, ForestSpec(n_trees=5))
     b = train_forest(x, y, ForestSpec(n_trees=5))
-    assert a.params == b.params
+    assert tree_dicts(a) == tree_dicts(b)
 
 
 def test_spec_validation():
