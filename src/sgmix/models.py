@@ -170,10 +170,11 @@ def _grow_tree(xt, weights, idx, n, ones, spec, draws, depth, nodes, at):
     distinct row indices, weighted size and label-1 count; return the depth
     of its deepest leaf.
 
-    nodes holds one (feature, threshold, child, leaf) row per node. A split
-    appends its two children as adjacent rows, the left one at child, and
-    its leaf is 0. A leaf's threshold is +inf, which every finite value is at
-    or below, and its child is itself, so a row that reaches it stays there.
+    nodes holds one (feature, threshold, child, leaf) row per node of this
+    tree, its root at row 0. A split appends its two children as adjacent
+    rows, the left one at child, and its leaf is 0. A leaf's threshold is
+    +inf, which every finite value is at or below, and its child is itself,
+    so a row that reaches it stays there.
     draws yields each split search's sampled features, taken in preorder.
     The split gives each child's weighted size and label-1 count, so a
     child that the leaf test (depth, size, purity) ends becomes a leaf at
@@ -254,6 +255,9 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
 
     Each tree grows over the distinct rows its bootstrap drew, each weighted
     by its draw count, and splits exactly as it would over the repeated rows.
+    A tree grows as a list of tuple rows (see _grow_tree), which become
+    arrays as soon as it is grown, so the fit holds one tree's tuples at a
+    time; the params join every tree's arrays into one node table.
     """
     x, y = _check_xy(x, y)
     d = x.shape[1]
@@ -267,7 +271,7 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
     # index keeps each row its bootstrap drew, once, in that order, so it is
     # sorted too; nodes only partition these lists.
     flat_order = np.argsort(xt, axis=1, kind="stable").ravel()
-    nodes, roots, depth = [], [], 0
+    tables, roots, depth, size = [], [], 0, 0
     for t in range(spec.n_trees):
         # One pre-derived stream per tree, so tree order never matters.
         stream = RngStream(seed, (STREAM_OFFSETS["model-init"], t))
@@ -275,18 +279,20 @@ def train_forest(x, y, spec: ForestSpec = ForestSpec(), seed: int = 0) -> Traine
         counts = np.bincount(rows, minlength=n)
         idx = flat_order.compress((counts > 0).take(flat_order)).reshape(d, -1)
         ones = int(y[rows].sum())
-        root = len(nodes)
-        roots.append(root)
-        nodes.append(_leaf(n, ones, spec, 0, root))
-        if nodes[root] is None:
+        nodes = [_leaf(n, ones, spec, 0, 0)]
+        if nodes[0] is None:
             depth = max(depth, _grow_tree(xt, counts * ones_and_y, idx, n, ones, spec,
-                                          _feature_draws(stream, d, m), 0, nodes, root))
-    feature, threshold, child, leaf = zip(*nodes)
+                                          _feature_draws(stream, d, m), 0, nodes, 0))
+        # Tree-local child rows shift by the tree's first row in the forest's table.
+        feature, threshold, child, leaf = zip(*nodes)
+        roots.append(size)
+        tables.append((np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+                       np.array(child, dtype=np.intp) + size, np.array(leaf, dtype=np.int64)))
+        size += len(nodes)
+    feature, threshold, child, leaf = (np.concatenate(column) for column in zip(*tables))
     return TrainedModel(kind="forest", dim=d, params={
-        "trees": np.array(roots, dtype=np.intp), "feature": np.array(feature, dtype=np.intp),
-        "threshold": np.array(threshold, dtype=np.float64),
-        "child": np.array(child, dtype=np.intp), "leaf": np.array(leaf, dtype=np.int64),
-        "depth": depth})
+        "trees": np.array(roots, dtype=np.intp), "feature": feature, "threshold": threshold,
+        "child": child, "leaf": leaf, "depth": depth})
 
 
 # ---------------------------------------------------------------- mlp

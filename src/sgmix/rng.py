@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_integer
+
 # Fixed offsets for named pipeline stages.
 STREAM_OFFSETS = {
     "data-gen": 1,
@@ -24,6 +26,7 @@ STREAM_OFFSETS = {
 
 def derive_seed(seed: int, *path: int) -> int:
     """Deterministically derive a child seed from a master seed and offset path."""
+    check_integer(seed=seed)
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -34,10 +37,12 @@ class RngStream(np.random.Generator):
     The path is a tuple of offsets such as STREAM_OFFSETS values. Each stage,
     tree and model makes its own stream and is its only user, so its draws
     depend only on its key, never on what ran before it. Streams at distinct
-    paths are statistically independent.
+    paths are statistically independent. A seed that is not an integer,
+    such as 1.5, raises ValueError rather than being cut to its integer part.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
+        check_integer(seed=seed)
         super().__init__(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=path)))
 
 

@@ -96,10 +96,17 @@ def test_forest_deterministic():
     x, y = separated_data(5)
     a = train_forest(x, y, ForestSpec(n_trees=8), 7)
     b = train_forest(x, y, ForestSpec(n_trees=8), 7)
+    # One positive row: a tree whose bootstrap missed it is a one-row leaf,
+    # and the trees after it keep their child rows in the forest's table.
+    one = train_forest(np.arange(12).reshape(6, 2), np.eye(6, dtype=int)[1],
+                       ForestSpec(n_trees=8), 7)
+    sizes = np.diff(one.params["trees"], append=len(one.params["child"]))
+    assert 1 in sizes and sizes.max() > 1, sizes
     # The table is exactly forest_model's layout of its own trees.
-    for same in (b, forest_model(tree_dicts(a), a.dim)):
-        assert list(same.params) == list(a.params)
-        for key, value in a.params.items():
+    for model, same in ((a, b), (a, forest_model(tree_dicts(a), a.dim)),
+                        (one, forest_model(tree_dicts(one), one.dim))):
+        assert list(same.params) == list(model.params)
+        for key, value in model.params.items():
             assert np.asarray(value).dtype == np.asarray(same.params[key]).dtype, key
             assert np.asarray(value).tobytes() == np.asarray(same.params[key]).tobytes(), key
     c = train_forest(x, y, ForestSpec(n_trees=8), 8)
@@ -823,6 +830,22 @@ def test_forest_predict_peak_memory_stays_near_the_features():
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * x.nbytes, peak / x.nbytes
+
+
+def test_forest_fit_peak_memory_stays_near_the_finished_forest():
+    # The traced peak over the finished params plus x read 6.0-6.5 when the
+    # fit kept every node of all 100 trees as a Python tuple until the last
+    # tree was grown, and 2.3-2.5 now that each tree's rows become arrays
+    # once it is grown (seeds 36-43).
+    x, y = separated_data(37, n=600, d=4, margin=0.0)
+    tracemalloc.start()
+    try:
+        model = train_forest(x, y, ForestSpec(n_trees=100))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = x.nbytes + sum(v.nbytes for v in model.params.values() if isinstance(v, np.ndarray))
+    assert peak < 4.0 * kept, peak / kept
 
 
 def test_predict_empty_matrix():

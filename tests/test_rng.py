@@ -5,9 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgmix import (
+    FsgmConfig,
+    ForestSpec,
+    MlpSpec,
+    ScenarioConfig,
+    fsgm_augment,
+    gen_conditional_gaussian,
+    group_swap_augment,
+    train_forest,
+    train_mlp,
+)
+from sgmix.augment import bootstrap, vanilla_mixup
 from sgmix.rng import STREAM_OFFSETS, RngStream, beta_sample, derive_seed
 
-from conftest import run_python
+from conftest import random_dataset, run_python
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgmix"
 
@@ -116,6 +128,31 @@ def test_stream_keying_is_pinned():
         stream = RngStream(seed, path)
         assert [beta_sample(stream, 1.0) for _ in draws] == draws, (seed, path)
     assert derive_seed(0, 1) == 4881901421217228719
+
+
+DATA = random_dataset(0)
+SEEDED = {
+    "train_forest": lambda seed: train_forest(DATA.x, DATA.y, ForestSpec(n_trees=2), seed),
+    "train_mlp": lambda seed: train_mlp(DATA.x, DATA.y, MlpSpec(epochs=1), seed),
+    "fsgm_augment": lambda seed: fsgm_augment(DATA, FsgmConfig(
+        pairs=(((0, 0), (1, 0)),), new_count=4, k=2, seed=seed)),
+    "vanilla_mixup": lambda seed: vanilla_mixup(DATA, 4, 1.0, seed),
+    "group_swap_augment": lambda seed: group_swap_augment(DATA, 4, seed),
+    "bootstrap": lambda seed: bootstrap(DATA, 44, seed),
+    "gen_conditional_gaussian": lambda seed: gen_conditional_gaussian(
+        ScenarioConfig(np.array([[3, 3], [3, 3]]), seed=seed)),
+    "derive_seed": lambda seed: derive_seed(seed, 1),
+    "RngStream": lambda seed: RngStream(seed).random(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_every_seeded_entry_point_rejects_a_fractional_seed(entry):
+    # int(2.5) would quietly build the seed-2 output.
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+        SEEDED[entry](2.5)
+    for seed in (np.int64(2), np.uint32(2)):
+        SEEDED[entry](seed)
 
 
 def test_only_rng_module_touches_numpy_or_stdlib_random():
