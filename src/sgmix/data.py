@@ -114,24 +114,17 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
 
 
-def check_integer(**values) -> None:
-    """Reject any named value that is not an integer, such as 2.5 or 2.0.
+def check_int64(**sizes) -> None:
+    """Reject any named size that is not an integer, such as 2.5 or 2.0, or
+    that does not fit in int64; None passes.
 
-    range and numpy would truncate such a size or seed, or fail deep inside a
-    run, so it is a config error.
+    range and numpy would truncate a fractional size or fail deep inside a
+    run, and a size past int64 cannot describe a run that ends, so each is a
+    config error.
     """
-    for name, value in values.items():
+    for name, value in sizes.items():
         if value is not None and not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
-
-
-def check_int64(**sizes) -> None:
-    """Reject any named size that is not an integer or does not fit in int64.
-
-    A size past int64 cannot describe a run that ends, so it is a config error.
-    """
-    check_integer(**sizes)
-    for name, value in sizes.items():
         if value is not None and not -2**63 <= value < 2**63:
             raise ValueError(f"{name} must fit in int64, got {value}")
 

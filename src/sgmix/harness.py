@@ -30,7 +30,7 @@ from .augment import (
     vanilla_mixup,
 )
 from .data import (
-    ALL_SUBGROUPS, Dataset, check_int64, check_integer, concat, subgroup_indices,
+    ALL_SUBGROUPS, Dataset, check_int64, concat, subgroup_indices,
 )
 from .metrics import evaluate
 from .models import (
@@ -41,7 +41,7 @@ from .models import (
     train_mlp,
     train_mlps,
 )
-from .rng import STREAM_OFFSETS, RngStream, derive_seed
+from .rng import STREAM_OFFSETS, RngStream, check_seed, derive_seed
 from .synth import (
     SCENARIO_NAMES,
     TEST_COUNT_PER_SUBGROUP,
@@ -75,8 +75,11 @@ DEFAULT_PAIRS = {
 class ExperimentConfig:
     """Everything run_experiment needs; exactly one data source must be set.
 
-    Unset pairs, kNN scaling and a scenario's shifts and counts are filled in
-    here from the data source, so the harness reads plain fields.
+    The fields a caller sets keep what was given; None in pairs,
+    standardize_knn, shifts or counts means the data source's default. The
+    four resolved_* fields hold what a run uses, settled here once from the
+    source, so dataclasses.replace settles them again and == compares only
+    what the caller set.
     """
 
     scenario: str | None = None
@@ -97,6 +100,10 @@ class ExperimentConfig:
     forest: ForestSpec = field(default_factory=ForestSpec)
     mlp: MlpSpec = field(default_factory=MlpSpec)
     dump_augmented: str | None = None
+    resolved_pairs: tuple = field(init=False, compare=False)
+    resolved_standardize_knn: bool = field(init=False, compare=False)
+    resolved_shifts: ShiftSpec | None = field(init=False, compare=False)  # None for a CSV
+    resolved_counts: np.ndarray | None = field(init=False, compare=False)  # None for a CSV
 
     def __post_init__(self):
         has_scenario = self.scenario is not None
@@ -123,9 +130,7 @@ class ExperimentConfig:
         check_int64(replicates=self.replicates, k=self.k)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        check_integer(seed=self.seed)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         for name in ("test_fraction", "validation_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -136,22 +141,23 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         source = self.scenario if has_scenario else "csv"
-        object.__setattr__(self, "pairs", check_pairs(
+        object.__setattr__(self, "resolved_pairs", check_pairs(
             DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
-        if self.standardize_knn is None:
-            object.__setattr__(self, "standardize_knn", has_csv)
+        object.__setattr__(self, "resolved_standardize_knn",
+                           has_csv if self.standardize_knn is None else self.standardize_knn)
+        shifts = counts = None
         if has_csv:
             if self.shifts is not None or self.counts is not None:
                 raise ValueError("shifts and counts apply only to a scenario, not to csv_path")
             dim = len(self.csv_schema.feature_columns)
         else:
             preset = preset_scenario(self.scenario)
-            if self.shifts is None:
-                object.__setattr__(self, "shifts", preset.shifts)
+            shifts = preset.shifts if self.shifts is None else self.shifts
             # ScenarioConfig validates the counts the generator will see.
-            object.__setattr__(self, "counts", ScenarioConfig(
-                preset.counts if self.counts is None else self.counts).counts)
-            dim = self.shifts.dim
+            counts = ScenarioConfig(preset.counts if self.counts is None else self.counts).counts
+            dim = shifts.dim
+        object.__setattr__(self, "resolved_shifts", shifts)
+        object.__setattr__(self, "resolved_counts", counts)
         m = self.forest.features_per_split
         if "forest" in self.models and m is not None and m > dim:
             raise ValueError(f"forest.features_per_split={m} exceeds feature count {dim}")
@@ -191,7 +197,6 @@ class CellError:
 class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
     errors: list[CellError] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
 
@@ -247,8 +252,8 @@ def _augment(train: Dataset, method: str, config: ExperimentConfig, seed: int,
         data = bootstrap(train, 2 * t, derive_seed(seed, STREAM_OFFSETS["bootstrap"]))
     elif method == "fsgm":
         report = fsgm_augment(train, FsgmConfig(
-            pairs=config.pairs, new_count=t, k=config.k, alpha=mix_alpha, seed=aug_seed,
-            standardize=config.standardize_knn))
+            pairs=config.resolved_pairs, new_count=t, k=config.k, alpha=mix_alpha,
+            seed=aug_seed, standardize=config.resolved_standardize_knn))
         data = concat(train, report.produced)
     elif method == "vanilla-mixup":
         data = concat(train, vanilla_mixup(train, t, mix_alpha, aug_seed))
@@ -359,11 +364,11 @@ def dump_path(base: str, method: str) -> str:
 def _replicate_data(config: ExperimentConfig, full: Dataset | None, rep_seed: int):
     if config.scenario is not None:
         train = gen_conditional_gaussian(
-            ScenarioConfig(counts=config.counts, shifts=config.shifts,
+            ScenarioConfig(counts=config.resolved_counts, shifts=config.resolved_shifts,
                            seed=derive_seed(rep_seed, STREAM_OFFSETS["data-gen"]))
         )
         test = gen_conditional_gaussian(
-            balanced_test_config(config.shifts,
+            balanced_test_config(config.resolved_shifts,
                                  derive_seed(rep_seed, STREAM_OFFSETS["test-gen"]))
         )
         return train, test
@@ -434,20 +439,10 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             raise ValueError(f"{config.csv_path}: {len(full)} data row(s); "
                              "a run needs at least 2")
     table = ResultTable()
-    table.metadata = {
-        "source": config.scenario if config.scenario is not None else config.csv_path,
-        "pairs": repr(config.pairs),
-        "methods": ",".join(config.methods),
-        "models": ",".join(config.models),
-        "replicates": config.replicates,
-        "seed": config.seed,
-        "alpha_grid": ",".join(str(a) for a in sorted(config.alpha_grid)),
-        "knn_standardize": config.standardize_knn,
-    }
     if any(method in ALPHA_METHODS for method in config.methods):
         table.notes.append(
             f"alpha fixed at {config.alpha_grid[0]:g}" if len(config.alpha_grid) == 1
-            else "alpha grid searched: " + table.metadata["alpha_grid"]
+            else "alpha grid searched: " + ",".join(str(a) for a in sorted(config.alpha_grid))
             + " (internal validation selection)")
     table.notes += [
         (f"test sets are balanced at {TEST_COUNT_PER_SUBGROUP} samples per subgroup"

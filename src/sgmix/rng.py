@@ -7,9 +7,9 @@ draws.
 """
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
-from .data import check_integer
+import numpy as np
 
 # Fixed offsets for named pipeline stages.
 STREAM_OFFSETS = {
@@ -24,9 +24,19 @@ STREAM_OFFSETS = {
 }
 
 
+def check_seed(seed, *path) -> None:
+    """Reject a seed or path entry that is not an integer >= 0, such as None, 1.5
+    or -1: int() would cut 1.5 to 1, and numpy's errors name neither value."""
+    for name, value in (("seed", seed), *(("path entry", p) for p in path)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def derive_seed(seed: int, *path: int) -> int:
     """Deterministically derive a child seed from a master seed and offset path."""
-    check_integer(seed=seed)
+    check_seed(seed, *path)
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -37,12 +47,12 @@ class RngStream(np.random.Generator):
     The path is a tuple of offsets such as STREAM_OFFSETS values. Each stage,
     tree and model makes its own stream and is its only user, so its draws
     depend only on its key, never on what ran before it. Streams at distinct
-    paths are statistically independent. A seed that is not an integer,
-    such as 1.5, raises ValueError rather than being cut to its integer part.
+    paths are statistically independent. A seed or path entry that is not an
+    integer >= 0 raises ValueError (`check_seed`); 1.5 is never cut to 1.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        check_integer(seed=seed)
+        check_seed(seed, *path)
         super().__init__(np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=path)))
 
 

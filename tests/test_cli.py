@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgmix.cli import SETTINGS, build_parser, config_from_settings, main
-from sgmix.harness import RESULTS_HEADER
+from sgmix.harness import RESULTS_HEADER, ExperimentConfig
 from sgmix.synth import preset_scenario
 from sgmix.tabular import dump_augmented_csv
 
@@ -593,8 +593,8 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         assert out == settings["experiment.out"]
         reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
                  config.mlp.learning_rate]
-        if config.shifts is not None:
-            shifts = config.shifts
+        if config.resolved_shifts is not None:
+            shifts = config.resolved_shifts
             reals += [shifts.class_shift_magnitude, shifts.group_shift_magnitude, shifts.angle]
         assert all(math.isfinite(v) for v in reals), settings
     assert outcomes["config"] > 0 and outcomes["error"] > 0, outcomes
@@ -609,6 +609,13 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         err = capsys.readouterr().err
         assert code in (0, 1, 2), (settings, code, err)
         assert "Traceback" not in err, settings
+
+
+@pytest.mark.parametrize("scenario", ["unbalanced-groups", "unbalanced-class",
+                                      "underrepresented-subgroup"])
+def test_config_from_settings_adds_nothing_the_library_would_not(scenario):
+    config, _ = config_from_settings({"scenario.name": scenario, "experiment.out": "r.csv"})
+    assert config == ExperimentConfig(scenario=scenario)
 
 
 def test_every_flag_stores_into_its_own_settings_key():

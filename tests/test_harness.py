@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import weakref
 
 import numpy as np
@@ -447,11 +449,10 @@ def test_run_experiment_grid_search_fills_alpha():
 
 
 def test_run_experiment_metadata_and_notes():
-    table = run_experiment(small_config(replicates=1))
-    assert table.metadata["source"] == "unbalanced-groups"
-    assert table.metadata["methods"] == "original,fsgm"
-    assert table.metadata["knn_standardize"] is False
-    assert table.metadata["pairs"] == repr(check_pairs(DEFAULT_PAIRS["unbalanced-groups"]))
+    config = small_config(replicates=1)
+    table = run_experiment(config)
+    assert config.resolved_standardize_knn is False
+    assert config.resolved_pairs == check_pairs(DEFAULT_PAIRS["unbalanced-groups"])
     assert table.notes[0] == "alpha fixed at 1"
     assert not any("alpha" in n for n in table.notes[1:])
 
@@ -488,8 +489,9 @@ def test_run_experiment_csv_source(tmp_path):
     assert table.rows[0].seed != table.rows[1].seed
     train, _ = train_test_split(ds, 0.3, derive_seed(0, 0))
     assert table.rows[0].train_size == 2 * len(train)
-    assert table.metadata["source"] == str(path)
-    assert table.metadata["knn_standardize"] is True
+    assert config.resolved_standardize_knn is True
+    assert config.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
+    assert config.resolved_shifts is None and config.resolved_counts is None
 
 
 def test_run_experiment_dumps_augmented_training_sets(tmp_path):
@@ -612,19 +614,69 @@ def test_experiment_config_rejects_scenario_settings_with_csv(standin_path, stan
 def test_experiment_config_fills_source_defaults(standin_path, standin_schema):
     synthetic = ExperimentConfig(scenario="underrepresented-subgroup")
     preset = preset_scenario("underrepresented-subgroup")
-    assert synthetic.pairs == check_pairs(DEFAULT_PAIRS["underrepresented-subgroup"])
-    assert synthetic.standardize_knn is False
-    assert synthetic.shifts == preset.shifts
-    np.testing.assert_array_equal(synthetic.counts, preset.counts)
-    assert synthetic.counts.dtype == np.int64 and not synthetic.counts.flags.writeable
+    assert synthetic.resolved_pairs == check_pairs(DEFAULT_PAIRS["underrepresented-subgroup"])
+    assert synthetic.resolved_standardize_knn is False
+    assert synthetic.resolved_shifts == preset.shifts
+    np.testing.assert_array_equal(synthetic.resolved_counts, preset.counts)
+    assert synthetic.resolved_counts.dtype == np.int64
+    assert not synthetic.resolved_counts.flags.writeable
     assert synthetic.k == FsgmConfig.k
+    # The caller's fields read back as given: None still means the default.
+    assert (synthetic.pairs, synthetic.standardize_knn, synthetic.shifts,
+            synthetic.counts) == (None, None, None, None)
+
+    counts = [[20, 20], [5, 20]]
+    shifts = ShiftSpec(angle=0.5)
+    given = ExperimentConfig(scenario="underrepresented-subgroup", pairs=BOTH_WAY_PAIRS,
+                             standardize_knn=True, shifts=shifts, counts=counts)
+    assert given.pairs is BOTH_WAY_PAIRS and given.standardize_knn is True
+    assert given.shifts is shifts and given.counts is counts
+    assert given.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
+    assert given.resolved_standardize_knn is True and given.resolved_shifts is shifts
+    np.testing.assert_array_equal(given.resolved_counts, counts)
 
     tabular = ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema,
                                pairs=BOTH_WAY_PAIRS, standardize_knn=False)
-    assert tabular.pairs == check_pairs(BOTH_WAY_PAIRS)
-    assert tabular.standardize_knn is False
+    assert tabular.pairs is BOTH_WAY_PAIRS
+    assert tabular.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
+    assert tabular.standardize_knn is False and tabular.resolved_standardize_knn is False
     assert tabular.shifts is None and tabular.counts is None
-    assert ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema).standardize_knn
+    assert tabular.resolved_shifts is None and tabular.resolved_counts is None
+    default = ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema)
+    assert default.standardize_knn is None and default.resolved_standardize_knn is True
+
+
+SOURCES = ("unbalanced-groups", "unbalanced-class", "underrepresented-subgroup", "csv")
+
+
+@pytest.mark.parametrize("old,new", list(itertools.permutations(SOURCES, 2)))
+def test_replace_to_another_source_settles_its_defaults_again(old, new, standin_path,
+                                                              standin_schema):
+    def source(name):
+        if name == "csv":
+            return dict(scenario=None, csv_path=standin_path, csv_schema=standin_schema)
+        return dict(scenario=name, csv_path=None, csv_schema=None)
+
+    fresh = ExperimentConfig(**source(new))
+    replaced = dataclasses.replace(ExperimentConfig(**source(old)), **source(new))
+    assert replaced == fresh and hash(replaced) == hash(fresh)
+    assert replaced.resolved_pairs == fresh.resolved_pairs
+    assert replaced.resolved_standardize_knn is fresh.resolved_standardize_knn
+    assert replaced.resolved_shifts == fresh.resolved_shifts
+    assert np.array_equal(replaced.resolved_counts, fresh.resolved_counts)
+
+
+def test_replaced_config_runs_as_a_fresh_one(tmp_path, capsys):
+    outputs = []
+    for name, config in (
+            ("replaced", dataclasses.replace(small_config(), scenario="unbalanced-class",
+                                             counts=None)),
+            ("fresh", small_config(scenario="unbalanced-class", counts=None))):
+        path = tmp_path / f"{name}.csv"
+        emit_results(run_experiment(config), path)
+        printed = capsys.readouterr().out.split("\n", 1)[1]  # the first line names the path
+        outputs.append((path.read_bytes(), printed))
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------- emit

@@ -1,6 +1,8 @@
-"""README's library quick start runs as printed, and its API list is sgmix.__all__."""
+"""README's library quick start runs as printed, its API list is sgmix.__all__,
+and its config paragraph names every field ExperimentConfig settles itself."""
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -37,3 +39,11 @@ def test_readme_api_list_matches_exports():
             if isinstance(node, ast.ImportFrom) and node.module == "sgmix":
                 imported = {alias.name for alias in node.names}
                 assert imported <= set(documented), (demo.name, imported - set(documented))
+
+
+def test_readme_config_paragraph_names_every_settled_field():
+    paragraph = next(p for p in README.split("\n\n") if p.startswith("`ExperimentConfig` keeps"))
+    settled = [f.name for f in dataclasses.fields(sgmix.ExperimentConfig) if not f.init]
+    assert len(settled) == 4
+    for name in settled:
+        assert f"`{name}`" in paragraph, name

@@ -47,6 +47,9 @@ def test_derive_seed_depends_on_full_path():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(1) != derive_seed(2)
+    # int(1.5) would quietly key the path (1,).
+    with pytest.raises(ValueError, match="path entry must be an integer, got 1.5"):
+        derive_seed(0, 1.5)
 
 
 def test_substream_cross_correlation_negligible():
@@ -148,9 +151,12 @@ SEEDED = {
 
 @pytest.mark.parametrize("entry", sorted(SEEDED))
 def test_every_seeded_entry_point_rejects_a_fractional_seed(entry):
-    # int(2.5) would quietly build the seed-2 output.
-    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
-        SEEDED[entry](2.5)
+    # int(2.5) would quietly build the seed-2 output; numpy's own errors for
+    # None and -1 do not name the seed.
+    for seed, message in ((2.5, "an integer, got 2.5"), (None, "an integer, got None"),
+                          (-1, ">= 0, got -1")):
+        with pytest.raises(ValueError, match=f"^seed must be {message}$"):
+            SEEDED[entry](seed)
     for seed in (np.int64(2), np.uint32(2)):
         SEEDED[entry](seed)
 
