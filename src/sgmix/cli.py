@@ -180,11 +180,13 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
             keys = sorted(key for key in settings if SETTINGS[key][0] in ("shifts", "counts"))
             raise ValueError(f"{', '.join(keys)}: set only with scenario.name (--scenario)")
         preset = preset_scenario(scenario)
-        fields["shifts"] = dataclasses.replace(preset.shifts, **parts["shifts"])
-        counts = preset.counts.tolist()
-        for (y, z), n in parts["counts"].items():
-            counts[y][z] = n
-        fields["counts"] = counts
+        if parts["shifts"]:
+            fields["shifts"] = dataclasses.replace(preset.shifts, **parts["shifts"])
+        if parts["counts"]:
+            counts = preset.counts.tolist()
+            for (y, z), n in parts["counts"].items():
+                counts[y][z] = n
+            fields["counts"] = tuple(map(tuple, counts))
     if fields.get("csv_path") is not None:
         fields["csv_schema"] = _schema_from(parts["csv"])
     fields["forest"] = ForestSpec(**parts["forest"])

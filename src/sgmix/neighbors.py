@@ -5,8 +5,10 @@ import numpy as np
 
 from .data import Dataset, SubgroupKey, check_finite, subgroup_indices
 
-# Queries are searched in blocks whose (rows, members, d) difference array
-# would hold about this many float64 values, and at least one query row.
+# Queries are searched in blocks of at least one row whose (rows, members, d)
+# difference array would hold about this many float64 values. From 8 features
+# on, that array is what each block allocates; below 8, a block allocates two
+# (rows, members) arrays instead.
 _BLOCK_VALUES = 2**15
 
 
@@ -33,10 +35,15 @@ def knn_in_subgroup(
     (m, d) returns shape (m, k), row r for query row r, as m one-row calls
     would. Ties in distance go to the smaller dataset index. Distances are
     Euclidean in the dataset's own feature space; a caller that wants
-    z-scored distances passes a z-scored dataset and query.
+    z-scored distances passes a z-scored dataset and query. Each block of
+    queries allocates a (rows, members, d) difference array of about
+    _BLOCK_VALUES values from 8 features on, and two (rows, members) arrays
+    below 8.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if dataset.dim == 0:
+        raise ValueError("features must have at least one column, got 0")
     query = np.asarray(query, dtype=np.float64)
     if query.ndim not in (1, 2) or query.shape[-1] != dataset.dim:
         raise ValueError(
@@ -55,45 +62,25 @@ def knn_in_subgroup(
     return members[nearest.reshape(query.shape[:-1] + (k,))]
 
 
-def _squared_distances(xt: np.ndarray, q: np.ndarray, lo: int = 0, n: int | None = None):
-    """(rows, M) sums over features lo..lo+n of (xt[j] - q[:, j])², xt of shape (d, M).
+def _squared_distances(xt: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(rows, M) sums over features of (xt[j] - q[:, j])², xt of shape (d, M).
 
-    Each entry is the bits of `np.square(xt.T - q[:, None]).sum(-1)`: the
-    columns are added in the order numpy's pairwise sum adds a contiguous
-    axis. Below 8 terms it adds left to right; up to 128 it keeps eight
-    running sums of every eighth term, combines them as a tree, then adds
-    the leftover terms; past 128 it sums two halves split at a multiple of 8.
+    Each entry is the bits of `np.square(xt.T - q[:, None]).sum(-1)`. Below
+    8 features numpy adds a contiguous axis left to right, so adding the
+    columns in order gives its bits without a (rows, M, d) array; from 8 on
+    it sums pairwise, so the expression itself is returned.
     """
-    if n is None:
-        n = len(xt)
-
-    def term(j, out=None):
-        out = np.subtract(xt[j], q[:, j, None], out=out)
-        return np.square(out, out=out)
-
-    if n < 8:
-        total = term(lo)
-        scratch = np.empty_like(total)
-        for j in range(lo + 1, lo + n):
-            total += term(j, scratch)
-        return total
-    if n <= 128:
-        sums = [term(lo + r) for r in range(8)]
-        scratch = np.empty_like(sums[0])
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for r in range(8):
-                sums[r] += term(lo + i + r, scratch)
-        for step in (1, 2, 4):  # ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-            for r in range(0, 8, 2 * step):
-                sums[r] += sums[r + step]
-        total = sums[0]
-        for j in range(lo + tail, lo + n):
-            total += term(j, scratch)
-        return total
-    half = n // 2 - (n // 2) % 8
-    total = _squared_distances(xt, q, lo, half)
-    total += _squared_distances(xt, q, lo + half, n - half)
+    if len(xt) >= 8:
+        # order="C" keeps the feature axis contiguous: numpy sums a strided
+        # axis in another order, with other bits
+        diff = np.subtract(xt.T, q[:, None], order="C")
+        return np.square(diff, out=diff).sum(-1)
+    total = np.subtract(xt[0], q[:, 0, None])
+    np.square(total, out=total)
+    scratch = np.empty_like(total)
+    for j in range(1, len(xt)):
+        np.subtract(xt[j], q[:, j, None], out=scratch)
+        total += np.square(scratch, out=scratch)
     return total
 
 

@@ -229,6 +229,9 @@ def test_fsgm_errors():
         fsgm_augment(ds, FsgmConfig(pairs=(((1, 1), (0, 0)),), new_count=1, k=1))
     with pytest.raises(ValueError, match="insufficient target subgroup"):
         fsgm_augment(ds, FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=1, k=5))
+    no_features = Dataset(np.empty((20, 0)), [0, 1] * 10, [0] * 20)
+    with pytest.raises(ValueError, match="features must have at least one column, got 0"):
+        fsgm_augment(no_features, FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=4, k=2))
 
 
 def test_fsgm_config_validation():

@@ -10,7 +10,7 @@ import pytest
 
 from sgmix.cli import SETTINGS, build_parser, config_from_settings, main
 from sgmix.harness import RESULTS_HEADER, ExperimentConfig
-from sgmix.synth import preset_scenario
+from sgmix.synth import ShiftSpec, preset_scenario
 from sgmix.tabular import dump_augmented_csv
 
 from conftest import STANDIN_FEATURES, random_dataset, run_python
@@ -611,11 +611,24 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         assert "Traceback" not in err, settings
 
 
-@pytest.mark.parametrize("scenario", ["unbalanced-groups", "unbalanced-class",
-                                      "underrepresented-subgroup"])
-def test_config_from_settings_adds_nothing_the_library_would_not(scenario):
-    config, _ = config_from_settings({"scenario.name": scenario, "experiment.out": "r.csv"})
-    assert config == ExperimentConfig(scenario=scenario)
+@pytest.mark.parametrize("scenario, settings, parts", [
+    *(pytest.param(scenario, {}, {}, id=scenario) for scenario in
+      ("unbalanced-groups", "unbalanced-class", "underrepresented-subgroup")),
+    # a shift key sets shifts alone, a count key counts alone, each over its preset
+    pytest.param("unbalanced-groups", {"scenario.angle": "0.5"},
+                 {"shifts": ShiftSpec(angle=0.5)}, id="shift-key"),
+    pytest.param("unbalanced-class", {"scenario.t00": "20"},
+                 {"counts": ((20, 100), (60, 10))}, id="count-key"),
+    pytest.param("underrepresented-subgroup", {"scenario.class_shift": "2.5", "scenario.t11": "7"},
+                 {"shifts": ShiftSpec(class_shift_magnitude=2.5, angle=math.pi / 6),
+                  "counts": ((200, 200), (10, 7))}, id="shift-and-count-keys"),
+])
+def test_config_from_settings_adds_nothing_the_library_would_not(scenario, settings, parts):
+    config, _ = config_from_settings({"scenario.name": scenario, "experiment.out": "r.csv",
+                                      **settings})
+    expected = ExperimentConfig(scenario=scenario, **parts)
+    assert config == expected
+    assert hash(config) == hash(expected)
 
 
 def test_every_flag_stores_into_its_own_settings_key():

@@ -86,6 +86,9 @@ def test_knn_validates_inputs():
         knn_in_subgroup(ds, ds.x[0], SubgroupKey(0, 0), k=0)
     with pytest.raises(ValueError, match="query"):
         knn_in_subgroup(ds, np.zeros(ds.dim + 1), SubgroupKey(0, 0), k=1)
+    no_features = Dataset(np.empty((20, 0)), ds.y[:20], ds.z[:20])
+    with pytest.raises(ValueError, match="features must have at least one column, got 0"):
+        knn_in_subgroup(no_features, np.empty(0), SubgroupKey(0, 0), k=1)
 
 
 def full_sort_knn(ds, query, key, k):
@@ -144,7 +147,7 @@ def test_knn_rejects_nonfinite_query_or_features(bad):
         knn_in_subgroup(Dataset(x, ds.y, ds.z), ds.x[0], key, k=2)
 
 
-@pytest.mark.parametrize("d", [7, 8, 130])  # one of each summation path
+@pytest.mark.parametrize("d", [7, 8, 130])  # the column loop; the (rows, M, d) block twice
 def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
     # 500 queries against 500 members: one (500, 500, d) difference array
     # would take 2 MB per feature; blocks of queries keep the peak near one block.
@@ -163,9 +166,10 @@ def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
 
 
 def test_column_distances_keep_the_bits_of_numpys_reduction_order():
-    # The kernel adds feature columns in the order np.add.reduce sums a
-    # contiguous axis (pairwise, 8 running sums); if this fails, numpy's
-    # reduction order changed and fsgm neighbours may no longer match.
+    # Below 8 features the kernel adds feature columns left to right, as
+    # np.add.reduce sums a short contiguous axis; from 8 on it sums a
+    # C-ordered difference array itself. If this fails below 8, numpy's
+    # reduction order changed; from 8 on, the array's layout did.
     stream = np.random.default_rng(0)
     dims = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 513]
     for d, members, rows in itertools.product(dims, (1, 2, 297), (1, 29)):
