@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    Dataset, SubgroupKey, check_int64, concat, feature_standardizer, subgroup_indices,
+    Dataset, SubgroupKey, check_sizes, concat, feature_standardizer, subgroup_indices,
 )
 from .neighbors import knn_in_subgroup, target_members
 from .rng import RngStream, beta_sample
@@ -72,13 +72,9 @@ class FsgmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", check_pairs(self.pairs))
-        check_int64(new_count=self.new_count, k=self.k)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_sizes(new_count=self.new_count, k=self.k)
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.new_count < 1:
-            raise ValueError(f"new_count must be >= 1, got {self.new_count}")
 
 
 @dataclass(frozen=True)
@@ -189,9 +185,7 @@ def vanilla_mixup(dataset: Dataset, new_count: int, alpha: float, seed: int) -> 
     Every emission draws its own pair and its own mixing weight; group labels
     are mixed by the same indicator rule as class labels.
     """
-    check_int64(new_count=new_count)
-    if new_count < 1:
-        raise ValueError(f"new_count must be >= 1, got {new_count}")
+    check_sizes(new_count=new_count)
     # partners[c] holds the rows of the class a class-c row mixes with
     partners = tuple(np.nonzero(dataset.y == 1 - c)[0] for c in (0, 1))
     for c in (0, 1):
@@ -215,9 +209,7 @@ def group_swap_augment(dataset: Dataset, new_count: int, seed: int) -> Dataset:
     """
     if len(dataset) == 0:
         raise ValueError("cannot augment an empty dataset")
-    check_int64(new_count=new_count)
-    if new_count < 1:
-        raise ValueError(f"new_count must be >= 1, got {new_count}")
+    check_sizes(new_count=new_count)
     picks = RngStream(seed).integers(len(dataset), size=new_count)
     return Dataset(dataset.x[picks], dataset.y[picks], 1 - dataset.z[picks])
 
@@ -226,7 +218,7 @@ def bootstrap(dataset: Dataset, total_size: int, seed: int) -> Dataset:
     """Original samples plus uniform-with-replacement copies up to total_size."""
     if len(dataset) == 0:
         raise ValueError("cannot bootstrap an empty dataset")
-    check_int64(total_size=total_size)
+    check_sizes(total_size=total_size)
     if total_size < len(dataset):
         raise ValueError(
             f"total_size {total_size} is smaller than the dataset ({len(dataset)})"

@@ -114,18 +114,22 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
     return np.nonzero((dataset.y == key.y) & (dataset.z == key.z))[0]
 
 
-def check_int64(**sizes) -> None:
-    """Reject any named size that is not an integer, such as 2.5 or 2.0, or
-    that does not fit in int64; None passes.
+def check_sizes(**sizes) -> None:
+    """Reject any named size that is not an integer, such as 2.5 or 2.0, is
+    below 1, or does not fit in int64; None passes.
 
     range and numpy would truncate a fractional size or fail deep inside a
     run, and a size past int64 cannot describe a run that ends, so each is a
     config error.
     """
     for name, value in sizes.items():
-        if value is not None and not isinstance(value, numbers.Integral):
+        if value is None:
+            continue
+        if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
-        if value is not None and not -2**63 <= value < 2**63:
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value >= 2**63:
             raise ValueError(f"{name} must fit in int64, got {value}")
 
 

@@ -30,7 +30,7 @@ from .augment import (
     vanilla_mixup,
 )
 from .data import (
-    ALL_SUBGROUPS, Dataset, check_int64, concat, subgroup_indices,
+    ALL_SUBGROUPS, Dataset, check_sizes, concat, subgroup_indices,
 )
 from .metrics import evaluate
 from .models import (
@@ -43,7 +43,6 @@ from .models import (
 )
 from .rng import STREAM_OFFSETS, RngStream, check_seed, derive_seed
 from .synth import (
-    SCENARIO_NAMES,
     TEST_COUNT_PER_SUBGROUP,
     ScenarioConfig,
     ShiftSpec,
@@ -110,10 +109,6 @@ class ExperimentConfig:
         has_csv = self.csv_path is not None
         if has_scenario == has_csv:
             raise ValueError("exactly one of scenario and csv_path must be set")
-        if has_scenario and self.scenario not in SCENARIO_NAMES:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIO_NAMES}"
-            )
         if has_csv and self.csv_schema is None:
             raise ValueError("csv_path requires csv_schema")
         if not self.methods:
@@ -127,9 +122,7 @@ class ExperimentConfig:
         for name in ("methods", "models", "alpha_grid"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
-        check_int64(replicates=self.replicates, k=self.k)
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        check_sizes(replicates=self.replicates, k=self.k)
         check_seed(self.seed)
         for name in ("test_fraction", "validation_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
@@ -138,13 +131,6 @@ class ExperimentConfig:
             raise ValueError("alpha_grid must be nonempty")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha_grid):
             raise ValueError(f"alpha_grid entries must be finite and > 0, got {self.alpha_grid}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        source = self.scenario if has_scenario else "csv"
-        object.__setattr__(self, "resolved_pairs", check_pairs(
-            DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
-        object.__setattr__(self, "resolved_standardize_knn",
-                           has_csv if self.standardize_knn is None else self.standardize_knn)
         shifts = counts = None
         if has_csv:
             if self.shifts is not None or self.counts is not None:
@@ -156,6 +142,11 @@ class ExperimentConfig:
             # ScenarioConfig validates the counts the generator will see.
             counts = ScenarioConfig(preset.counts if self.counts is None else self.counts).counts
             dim = shifts.dim
+        source = self.scenario if has_scenario else "csv"
+        object.__setattr__(self, "resolved_pairs", check_pairs(
+            DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
+        object.__setattr__(self, "resolved_standardize_knn",
+                           has_csv if self.standardize_knn is None else self.standardize_knn)
         object.__setattr__(self, "resolved_shifts", shifts)
         object.__setattr__(self, "resolved_counts", counts)
         m = self.forest.features_per_split
@@ -448,8 +439,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         (f"test sets are balanced at {TEST_COUNT_PER_SUBGROUP} samples per subgroup"
          if config.scenario is not None
          else f"test sets are stratified {config.test_fraction:g} fractions of the CSV"),
-        f"forest defaults: {config.forest}",
-        f"mlp defaults: {config.mlp}",
+        f"forest settings: {config.forest}",
+        f"mlp settings: {config.mlp}",
     ]
     for r in range(config.replicates):
         rep_seed = derive_seed(config.seed, r)

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .data import check_finite, check_int64, feature_standardizer
+from .data import check_finite, check_sizes, feature_standardizer
 from .rng import STREAM_OFFSETS, RngStream
 
 
@@ -30,12 +30,8 @@ class ForestSpec:
     features_per_split: int | None = None
 
     def __post_init__(self):
-        check_int64(n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf,
+        check_sizes(n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf,
                     features_per_split=self.features_per_split)
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("n_trees, max_depth, and min_leaf must be positive")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -48,10 +44,8 @@ class MlpSpec:
     batch_size: int = 32
 
     def __post_init__(self):
-        check_int64(hidden_units=self.hidden_units, epochs=self.epochs,
+        check_sizes(hidden_units=self.hidden_units, epochs=self.epochs,
                     batch_size=self.batch_size)
-        if min(self.hidden_units, self.epochs, self.batch_size) < 1:
-            raise ValueError("hidden_units, epochs, and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, SubgroupKey, check_finite, subgroup_indices
+from .data import Dataset, SubgroupKey, check_finite, check_sizes, subgroup_indices
 
 # Queries are searched in blocks of at least one row whose (rows, members, d)
 # difference array would hold about this many float64 values. From 8 features
@@ -40,8 +40,7 @@ def knn_in_subgroup(
     _BLOCK_VALUES values from 8 features on, and two (rows, members) arrays
     below 8.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_sizes(k=k)
     if dataset.dim == 0:
         raise ValueError("features must have at least one column, got 0")
     query = np.asarray(query, dtype=np.float64)

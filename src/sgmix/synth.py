@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, check_int64
+from .data import Dataset, check_sizes
 from .rng import STREAM_OFFSETS, RngStream
 
 
@@ -37,9 +37,7 @@ class ShiftSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.class_shift_magnitude < 0 or self.group_shift_magnitude < 0:
             raise ValueError("shift magnitudes must be nonnegative")
-        check_int64(dim=self.dim)
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        check_sizes(dim=self.dim)
         if self.dim < 2 and math.sin(self.angle) != 0.0:
             raise ValueError(
                 f"dim={self.dim} cannot host an off-axis group shift (angle {self.angle})"

@@ -431,23 +431,25 @@ SIZING_KEYS = ["forest.n_trees", "forest.max_depth", "forest.min_leaf",
 @pytest.mark.parametrize("key", SIZING_KEYS)
 def test_sizing_integer_past_int64_is_rejected_before_the_run(tmp_path, capsys, monkeypatch,
                                                                key):
-    # A typo this long would otherwise start a run that never ends.
-    huge = "99999999999999999999"
-    message = f"{key.split('.')[1]} must fit in int64, got {huge}"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        config_from_settings({"scenario.name": "unbalanced-groups",
-                              "experiment.out": "r.csv", key: huge})
-
+    # A typo this long would otherwise start a run that never ends; a 0 names
+    # the one field that is wrong.
     def must_not_run(config):
-        raise AssertionError("run_experiment called despite an unbounded size")
+        raise AssertionError("run_experiment called despite a bad size")
 
     monkeypatch.setattr("sgmix.cli.run_experiment", must_not_run)
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text(f"{key} = {huge}\n")
-    code = main(["--config", str(cfg), "--scenario", "unbalanced-groups",
-                 "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    field = key.split(".")[1]
+    huge = "99999999999999999999"
+    for value, message in ((huge, f"{field} must fit in int64, got {huge}"),
+                           ("0", f"{field} must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_settings({"scenario.name": "unbalanced-groups",
+                                  "experiment.out": "r.csv", key: value})
+        cfg = tmp_path / "size.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = main(["--config", str(cfg), "--scenario", "unbalanced-groups",
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 X1_SCHEMA = ("csv.features = x1\ncsv.label_column = y\ncsv.label_positive = 1\n"

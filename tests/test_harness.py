@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -21,7 +22,8 @@ from sgmix import (
     subgroup_counts,
 )
 from sgmix import harness
-from sgmix.augment import check_pairs
+from sgmix.augment import bootstrap, check_pairs, group_swap_augment, vanilla_mixup
+from sgmix.data import SubgroupKey
 from sgmix.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_PAIRS,
@@ -32,6 +34,7 @@ from sgmix.harness import (
     train_test_split,
 )
 from sgmix.models import train_forest, train_mlps
+from sgmix.neighbors import knn_in_subgroup
 from sgmix.rng import STREAM_OFFSETS, derive_seed
 from sgmix.tabular import dump_augmented_csv
 
@@ -455,6 +458,8 @@ def test_run_experiment_metadata_and_notes():
     assert config.resolved_pairs == check_pairs(DEFAULT_PAIRS["unbalanced-groups"])
     assert table.notes[0] == "alpha fixed at 1"
     assert not any("alpha" in n for n in table.notes[1:])
+    # the notes show the run's own specs, which need not be the defaults
+    assert f"forest settings: {ForestSpec(n_trees=10)}" in table.notes
 
 
 def test_run_experiment_without_alpha_method_has_no_alpha_note():
@@ -595,6 +600,37 @@ def test_fractional_sizes_and_seeds_are_config_errors(make, name):
     silently or failed deep inside range."""
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got [12]\.5$"):
         make()
+
+
+SIZE_BASES = {FsgmConfig: {"pairs": BOTH_WAY_PAIRS, "new_count": 10},
+              ExperimentConfig: {"scenario": "unbalanced-groups"}}
+SIZE_FIELDS = [(cls, f.name) for cls in (ForestSpec, MlpSpec, ShiftSpec, FsgmConfig,
+                                         ExperimentConfig)
+               for f in dataclasses.fields(cls)
+               if f.init and f.type in ("int", "int | None") and f.name != "seed"]
+SIZE_CASES = [
+    *[pytest.param(name, lambda v, cls=cls, name=name: cls(**{**SIZE_BASES.get(cls, {}), name: v}),
+                   id=f"{cls.__name__}.{name}") for cls, name in SIZE_FIELDS],
+    pytest.param("new_count", lambda v: vanilla_mixup(random_dataset(0), v, 1.0, 0),
+                 id="vanilla_mixup"),
+    pytest.param("new_count", lambda v: group_swap_augment(random_dataset(0), v, 0),
+                 id="group_swap_augment"),
+    pytest.param("total_size", lambda v: bootstrap(random_dataset(0), v, 0),
+                 id="bootstrap"),
+    pytest.param("k", lambda v: knn_in_subgroup(random_dataset(0), np.zeros(3),
+                                                SubgroupKey(0, 0), v), id="knn_in_subgroup"),
+]
+
+
+@pytest.mark.parametrize("value,rule", [
+    (2.5, "must be an integer"), (0, "must be >= 1"), (-1, "must be >= 1"),
+    (2**63, "must fit in int64"),
+])
+@pytest.mark.parametrize("name,make", SIZE_CASES)
+def test_every_size_is_an_integer_from_1_within_int64(name, make, value, rule):
+    """Each size field and size argument names itself in one message per rule."""
+    with pytest.raises(ValueError, match=rf"^{name} {rule}, got {re.escape(str(value))}$"):
+        make(value)
 
 
 def test_seed_has_no_upper_bound():

@@ -84,6 +84,12 @@ def test_knn_validates_inputs():
     ds = random_dataset(0)
     with pytest.raises(ValueError, match="k must be"):
         knn_in_subgroup(ds, ds.x[0], SubgroupKey(0, 0), k=0)
+    # a fractional or unbounded k fails at the boundary, not in numpy or as
+    # a subgroup too small for it
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.5$"):
+        knn_in_subgroup(ds, ds.x[0], SubgroupKey(0, 0), k=2.5)
+    with pytest.raises(ValueError, match=rf"^k must fit in int64, got {10**20}$"):
+        knn_in_subgroup(ds, ds.x[0], SubgroupKey(0, 0), k=10**20)
     with pytest.raises(ValueError, match="query"):
         knn_in_subgroup(ds, np.zeros(ds.dim + 1), SubgroupKey(0, 0), k=1)
     no_features = Dataset(np.empty((20, 0)), ds.y[:20], ds.z[:20])
