@@ -19,19 +19,6 @@ from .models import ForestSpec, MlpSpec
 from .synth import SCENARIO_NAMES, preset_scenario
 from .tabular import CsvSchema, load_config
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _parse_pairs(text: str):
     """Parse `y,z->y,z` pairs separated by semicolons."""
     pairs = []
@@ -85,7 +72,6 @@ SETTINGS = {
     "experiment.replicates": ("experiment", "replicates", int),
     "experiment.alpha_grid": ("experiment", "alpha_grid", _floats),
     "experiment.test_fraction": ("experiment", "test_fraction", float),
-    "experiment.validation_fraction": ("experiment", "validation_fraction", float),
     "scenario.name": ("experiment", "scenario", str),
     "scenario.class_shift": ("shifts", "class_shift_magnitude", float),
     "scenario.group_shift": ("shifts", "group_shift_magnitude", float),
@@ -94,7 +80,6 @@ SETTINGS = {
     **{f"scenario.t{y}{z}": ("counts", (y, z), int) for y in (0, 1) for z in (0, 1)},
     "fsgm.k": ("experiment", "k", int),
     "fsgm.pairs": ("experiment", "pairs", _parse_pairs),
-    "fsgm.standardize": ("experiment", "standardize_knn", _parse_bool),
     **_spec_settings("forest", ForestSpec),
     **_spec_settings("mlp", MlpSpec),
     "csv.path": ("experiment", "csv_path", str),

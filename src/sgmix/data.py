@@ -115,8 +115,8 @@ def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:
 
 
 def check_sizes(**sizes) -> None:
-    """Reject any named size that is not an integer, such as 2.5 or 2.0, is
-    below 1, or does not fit in int64; None passes.
+    """Reject any named size that is not an integer, such as 2.5, 2.0 or True,
+    is below 1, or does not fit in int64; None passes.
 
     range and numpy would truncate a fractional size or fail deep inside a
     run, and a size past int64 cannot describe a run that ends, so each is a
@@ -125,7 +125,7 @@ def check_sizes(**sizes) -> None:
     for name, value in sizes.items():
         if value is None:
             continue
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

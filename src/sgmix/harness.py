@@ -56,6 +56,8 @@ METHODS = ("original", "fsgm", "vanilla-mixup", "group-swap")
 MODEL_KINDS = ("forest", "mlp")
 ALPHA_METHODS = ("fsgm", "vanilla-mixup")
 DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0, 2.0, 4.0)
+# The share of each cell's training rows that the alpha search validates on.
+VALIDATION_FRACTION = 0.25
 # The origin tag of the T rows each method adds to the T "original" ones.
 ADDED_TAGS = {"original": "bootstrap", "fsgm": "fsgm", "vanilla-mixup": "vanilla",
               "group-swap": "swap"}
@@ -74,11 +76,12 @@ DEFAULT_PAIRS = {
 class ExperimentConfig:
     """Everything run_experiment needs; exactly one data source must be set.
 
-    The fields a caller sets keep what was given; None in pairs,
-    standardize_knn, shifts or counts means the data source's default. The
-    four resolved_* fields hold what a run uses, settled here once from the
-    source, so dataclasses.replace settles them again and == compares only
-    what the caller set.
+    The fields a caller sets keep what was given; None in pairs, shifts or
+    counts means the data source's default. The three resolved_* fields hold
+    what a run uses, settled here once from the source, so
+    dataclasses.replace settles them again and == compares only what the
+    caller set. fsgm's kNN search z-scores a CSV's features and leaves a
+    scenario's as they are.
     """
 
     scenario: str | None = None
@@ -90,17 +93,14 @@ class ExperimentConfig:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
     seed: int = 0
     test_fraction: float = 0.3
-    validation_fraction: float = 0.25
     pairs: tuple | None = None
     k: int = FsgmConfig.k
-    standardize_knn: bool | None = None
     shifts: ShiftSpec | None = None  # scenario only
     counts: object = None  # scenario only: 2x2 training counts indexed [y, z]
     forest: ForestSpec = field(default_factory=ForestSpec)
     mlp: MlpSpec = field(default_factory=MlpSpec)
     dump_augmented: str | None = None
     resolved_pairs: tuple = field(init=False, compare=False)
-    resolved_standardize_knn: bool = field(init=False, compare=False)
     resolved_shifts: ShiftSpec | None = field(init=False, compare=False)  # None for a CSV
     resolved_counts: np.ndarray | None = field(init=False, compare=False)  # None for a CSV
 
@@ -124,9 +124,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat, got {getattr(self, name)}")
         check_sizes(replicates=self.replicates, k=self.k)
         check_seed(self.seed)
-        for name in ("test_fraction", "validation_fraction"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not self.alpha_grid:
             raise ValueError("alpha_grid must be nonempty")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha_grid):
@@ -145,8 +144,6 @@ class ExperimentConfig:
         source = self.scenario if has_scenario else "csv"
         object.__setattr__(self, "resolved_pairs", check_pairs(
             DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
-        object.__setattr__(self, "resolved_standardize_knn",
-                           has_csv if self.standardize_knn is None else self.standardize_knn)
         object.__setattr__(self, "resolved_shifts", shifts)
         object.__setattr__(self, "resolved_counts", counts)
         m = self.forest.features_per_split
@@ -242,9 +239,10 @@ def _augment(train: Dataset, method: str, config: ExperimentConfig, seed: int,
     if method == "original":
         data = bootstrap(train, 2 * t, derive_seed(seed, STREAM_OFFSETS["bootstrap"]))
     elif method == "fsgm":
+        # A CSV's columns have unrelated scales; a scenario's are unit-variance.
         report = fsgm_augment(train, FsgmConfig(
             pairs=config.resolved_pairs, new_count=t, k=config.k, alpha=mix_alpha,
-            seed=aug_seed, standardize=config.resolved_standardize_knn))
+            seed=aug_seed, standardize=config.csv_path is not None))
         data = concat(train, report.produced)
     elif method == "vanilla-mixup":
         data = concat(train, vanilla_mixup(train, t, mix_alpha, aug_seed))
@@ -327,7 +325,7 @@ def alpha_search(train: Dataset, cells, config: ExperimentConfig):
         inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
         try:
             inner_train, inner_val = train_test_split(
-                train, config.validation_fraction,
+                train, VALIDATION_FRACTION,
                 derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
             )
             jobs += [(cell, _augment(inner_train, method, config, inner_seed, alpha),
@@ -439,8 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         (f"test sets are balanced at {TEST_COUNT_PER_SUBGROUP} samples per subgroup"
          if config.scenario is not None
          else f"test sets are stratified {config.test_fraction:g} fractions of the CSV"),
-        f"forest settings: {config.forest}",
-        f"mlp settings: {config.mlp}",
+        *(f"{kind} settings: {getattr(config, kind)}" for kind in config.models),
     ]
     for r in range(config.replicates):
         rep_seed = derive_seed(config.seed, r)

@@ -25,10 +25,10 @@ STREAM_OFFSETS = {
 
 
 def check_seed(seed, *path) -> None:
-    """Reject a seed or path entry that is not an integer >= 0, such as None, 1.5
-    or -1: int() would cut 1.5 to 1, and numpy's errors name neither value."""
+    """Reject a seed or path entry that is not an integer >= 0, such as None, 1.5,
+    True or -1: int() would cut 1.5 to 1, and numpy's errors name neither value."""
     for name, value in (("seed", seed), *(("path entry", p) for p in path)):
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")

@@ -137,8 +137,8 @@ def preset_scenario(name: str, seed: int = 0) -> ScenarioConfig:
     return ScenarioConfig(counts=counts, shifts=ShiftSpec(angle=angle), seed=seed)
 
 
-def balanced_test_config(shifts: ShiftSpec, seed: int,
-                         per_subgroup: int = TEST_COUNT_PER_SUBGROUP) -> ScenarioConfig:
-    """Evaluation-set config: the same shift geometry, equal subgroup counts."""
-    counts = np.full((2, 2), per_subgroup, dtype=np.int64)
+def balanced_test_config(shifts: ShiftSpec, seed: int) -> ScenarioConfig:
+    """Evaluation-set config: the same shift geometry, TEST_COUNT_PER_SUBGROUP
+    samples in every subgroup."""
+    counts = np.full((2, 2), TEST_COUNT_PER_SUBGROUP, dtype=np.int64)
     return ScenarioConfig(counts=counts, shifts=shifts, seed=seed)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -276,8 +277,10 @@ def test_cli_alpha_and_a_one_value_grid_pin_alpha_without_a_search(tmp_path, cap
 BAD_VALUES = [
     ("scenario.angle = nan", "scenario", "angle"),
     ("scenario.class_shift = inf", "scenario", "class_shift_magnitude"),
+    ("scenario.class_shift = -1", "scenario", "shift magnitudes must be nonnegative"),
     ("experiment.test_fraction = 1.5", "csv", "test_fraction"),
-    ("experiment.validation_fraction = 0", "scenario", "validation_fraction"),
+    ("experiment.validation_fraction = 0", "scenario",
+     "unknown config keys: ['experiment.validation_fraction']"),
     ("scenario.t00 = 99999999999999999999", "scenario", "counts"),
     ("scenario.t11 = -1", "scenario", "counts"),
     ("experiment.alpha_grid = -1", "scenario", "alpha_grid"),
@@ -288,7 +291,7 @@ BAD_VALUES = [
     ("forest.n_trees = abc", "scenario", "forest.n_trees"),
     ("mlp.learning_rate = inf", "scenario", "learning_rate"),
     ("experiment.seed = -1", "scenario", "seed"),
-    ("fsgm.standardize = maybe", "scenario", "fsgm.standardize"),
+    ("fsgm.standardize = maybe", "scenario", "unknown config keys: ['fsgm.standardize']"),
     ("fsgm.pairs = 1,0->1,0", "scenario", "coincide"),
     ("fsgm.pairs = 5,5->0,0", "scenario", "0 or 1"),
     ("fsgm.pairs = 1,0->0", "scenario", "bad pair"),
@@ -481,6 +484,22 @@ def test_cli_rejects_csv_with_fewer_than_two_rows(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+def test_cli_two_row_csv_in_different_cells_fails_its_split(tmp_path, capsys):
+    """Each row is alone in its (y, z) cell, so the split leaves no test row."""
+    data = tmp_path / "input.csv"
+    data.write_text("x1,y,z\n0.5,1,0\n0.25,0,1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(X1_SCHEMA)
+    out = tmp_path / "r.csv"
+    code = main(["--config", str(cfg), "--csv", str(data), "--out", str(out),
+                 "--methods", "original", "--models", "forest", "--replicates", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    failed = [line for line in captured.out.split("\n") if "FAILED" in line]
+    assert failed == ["  FAILED original x forest replicate 0: "
+                      "ValueError: degenerate split: one side would be empty"]
+
+
 @pytest.mark.parametrize("variant", ["byte-order marks", "tab delimiter", "hash delimiter"])
 def test_cli_standin_variants_give_byte_identical_results(tmp_path, standin_path, variant):
     plain_csv = Path(standin_path).read_bytes()
@@ -593,8 +612,7 @@ def test_config_from_settings_returns_config_or_value_error(tmp_path, monkeypatc
         outcomes["config"] += 1
         built.append(settings)
         assert out == settings["experiment.out"]
-        reals = [config.test_fraction, config.validation_fraction, *config.alpha_grid,
-                 config.mlp.learning_rate]
+        reals = [config.test_fraction, *config.alpha_grid, config.mlp.learning_rate]
         if config.resolved_shifts is not None:
             shifts = config.resolved_shifts
             reals += [shifts.class_shift_magnitude, shifts.group_shift_magnitude, shifts.angle]
@@ -633,6 +651,15 @@ def test_config_from_settings_adds_nothing_the_library_would_not(scenario, setti
     assert hash(config) == hash(expected)
 
 
+def test_settings_set_every_experiment_config_field():
+    """Each ExperimentConfig init field has one key, or is built from its part's keys."""
+    named = [name for part, name, _ in SETTINGS.values()
+             if part == "experiment" and name != "out"]
+    assert len(set(named)) == len(named), named
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+    assert {*named, "csv_schema", "shifts", "counts", "forest", "mlp"} == fields
+
+
 def test_every_flag_stores_into_its_own_settings_key():
     dests = [action.dest for action in build_parser()._actions
              if action.option_strings and action.dest not in ("help", "config")]
@@ -645,5 +672,5 @@ def test_readme_key_table_matches_settings():
     documented = set()
     for prefix, names in re.findall(r"^\| `(\w+)\.` \| (.*) \|$", section, re.MULTILINE):
         documented.update(f"{prefix}.{name}" for name in re.findall(r"`(\w+)`", names))
-    assert len(documented) == 38
+    assert len(documented) == 36
     assert documented == set(SETTINGS)

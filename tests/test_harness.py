@@ -22,13 +22,16 @@ from sgmix import (
     subgroup_counts,
 )
 from sgmix import harness
-from sgmix.augment import bootstrap, check_pairs, group_swap_augment, vanilla_mixup
+from sgmix.augment import (
+    bootstrap, check_pairs, fsgm_augment, group_swap_augment, vanilla_mixup,
+)
 from sgmix.data import SubgroupKey
 from sgmix.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_PAIRS,
     METHODS,
     RESULTS_HEADER,
+    VALIDATION_FRACTION,
     ResultTable,
     alpha_search,
     train_test_split,
@@ -251,7 +254,7 @@ def test_alpha_search_matches_independent_recomputation(model_kind, monkeypatch)
     best, scores = found[("fsgm", model_kind, seed)]
 
     inner_train, inner_val = train_test_split(
-        train, config.validation_fraction,
+        train, VALIDATION_FRACTION,
         derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
     )
     inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
@@ -294,7 +297,7 @@ def per_cell_alpha(train, method, model_kind, config, seed):
     """A one-cell search done by hand: one run_method per grid alpha, each
     scored on the cell's inner validation split; ties go to the smaller alpha."""
     inner_train, inner_val = train_test_split(
-        train, config.validation_fraction,
+        train, VALIDATION_FRACTION,
         derive_seed(seed, STREAM_OFFSETS["alpha-search"]),
     )
     inner_seed = derive_seed(seed, STREAM_OFFSETS["alpha-search"], 1)
@@ -454,12 +457,17 @@ def test_run_experiment_grid_search_fills_alpha():
 def test_run_experiment_metadata_and_notes():
     config = small_config(replicates=1)
     table = run_experiment(config)
-    assert config.resolved_standardize_knn is False
     assert config.resolved_pairs == check_pairs(DEFAULT_PAIRS["unbalanced-groups"])
     assert table.notes[0] == "alpha fixed at 1"
     assert not any("alpha" in n for n in table.notes[1:])
     # the notes show the run's own specs, which need not be the defaults
     assert f"forest settings: {ForestSpec(n_trees=10)}" in table.notes
+    # and name only the models the run trains
+    assert not any(n.startswith("mlp settings:") for n in table.notes)
+    mlp_only = run_experiment(small_config(replicates=1, methods=("original",),
+                                           models=("mlp",)))
+    assert f"mlp settings: {MlpSpec(hidden_units=4, epochs=5)}" in mlp_only.notes
+    assert not any(n.startswith("forest settings:") for n in mlp_only.notes)
 
 
 def test_run_experiment_without_alpha_method_has_no_alpha_note():
@@ -494,7 +502,6 @@ def test_run_experiment_csv_source(tmp_path):
     assert table.rows[0].seed != table.rows[1].seed
     train, _ = train_test_split(ds, 0.3, derive_seed(0, 0))
     assert table.rows[0].train_size == 2 * len(train)
-    assert config.resolved_standardize_knn is True
     assert config.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
     assert config.resolved_shifts is None and config.resolved_counts is None
 
@@ -573,6 +580,8 @@ def test_experiment_config_validation():
         ExperimentConfig(csv_path="x.csv")
     with pytest.raises(ValueError, match="unknown methods"):
         ExperimentConfig(scenario="unbalanced-groups", methods=("smote",))
+    with pytest.raises(ValueError, match="^methods must be nonempty$"):
+        ExperimentConfig(scenario="unbalanced-groups", methods=())
     with pytest.raises(ValueError, match="nonempty subset"):
         ExperimentConfig(scenario="unbalanced-groups", models=())
     with pytest.raises(ValueError, match="replicates"):
@@ -624,7 +633,7 @@ SIZE_CASES = [
 
 @pytest.mark.parametrize("value,rule", [
     (2.5, "must be an integer"), (0, "must be >= 1"), (-1, "must be >= 1"),
-    (2**63, "must fit in int64"),
+    (2**63, "must fit in int64"), (True, "must be an integer"),
 ])
 @pytest.mark.parametrize("name,make", SIZE_CASES)
 def test_every_size_is_an_integer_from_1_within_int64(name, make, value, rule):
@@ -651,35 +660,54 @@ def test_experiment_config_fills_source_defaults(standin_path, standin_schema):
     synthetic = ExperimentConfig(scenario="underrepresented-subgroup")
     preset = preset_scenario("underrepresented-subgroup")
     assert synthetic.resolved_pairs == check_pairs(DEFAULT_PAIRS["underrepresented-subgroup"])
-    assert synthetic.resolved_standardize_knn is False
     assert synthetic.resolved_shifts == preset.shifts
     np.testing.assert_array_equal(synthetic.resolved_counts, preset.counts)
     assert synthetic.resolved_counts.dtype == np.int64
     assert not synthetic.resolved_counts.flags.writeable
     assert synthetic.k == FsgmConfig.k
     # The caller's fields read back as given: None still means the default.
-    assert (synthetic.pairs, synthetic.standardize_knn, synthetic.shifts,
-            synthetic.counts) == (None, None, None, None)
+    assert (synthetic.pairs, synthetic.shifts, synthetic.counts) == (None, None, None)
 
     counts = [[20, 20], [5, 20]]
     shifts = ShiftSpec(angle=0.5)
     given = ExperimentConfig(scenario="underrepresented-subgroup", pairs=BOTH_WAY_PAIRS,
-                             standardize_knn=True, shifts=shifts, counts=counts)
-    assert given.pairs is BOTH_WAY_PAIRS and given.standardize_knn is True
+                             shifts=shifts, counts=counts)
+    assert given.pairs is BOTH_WAY_PAIRS
     assert given.shifts is shifts and given.counts is counts
     assert given.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
-    assert given.resolved_standardize_knn is True and given.resolved_shifts is shifts
+    assert given.resolved_shifts is shifts
     np.testing.assert_array_equal(given.resolved_counts, counts)
 
     tabular = ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema,
-                               pairs=BOTH_WAY_PAIRS, standardize_knn=False)
+                               pairs=BOTH_WAY_PAIRS)
     assert tabular.pairs is BOTH_WAY_PAIRS
     assert tabular.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
-    assert tabular.standardize_knn is False and tabular.resolved_standardize_knn is False
     assert tabular.shifts is None and tabular.counts is None
     assert tabular.resolved_shifts is None and tabular.resolved_counts is None
-    default = ExperimentConfig(csv_path=standin_path, csv_schema=standin_schema)
-    assert default.standardize_knn is None and default.resolved_standardize_knn is True
+
+
+def test_fsgm_scales_its_neighbour_search_by_the_data_source(tmp_path, monkeypatch):
+    """A CSV's columns are z-scored for the kNN search; a scenario's are not."""
+    ds = random_dataset(17, t=50, d=3)
+    path = tmp_path / "input.csv"
+    dump_augmented_csv(path, ds, ["original"] * 50)
+    schema = CsvSchema(feature_columns=("x1", "x2", "x3"), label_column="y",
+                       label_positive="1", group_column="z", group_positive="1")
+    seen = []
+
+    def recording_fsgm(train, config):
+        seen.append(config.standardize)
+        return fsgm_augment(train, config)
+
+    monkeypatch.setattr("sgmix.harness.fsgm_augment", recording_fsgm)
+    for config, expected in (
+            (small_config(scenario=None, counts=None, csv_path=str(path), csv_schema=schema,
+                          pairs=BOTH_WAY_PAIRS), True),
+            (small_config(), False)):
+        seen.clear()
+        table = run_experiment(dataclasses.replace(config, methods=("fsgm",), replicates=1))
+        assert len(table.rows) == 1 and not table.errors
+        assert seen == [expected]
 
 
 SOURCES = ("unbalanced-groups", "unbalanced-class", "underrepresented-subgroup", "csv")
@@ -697,7 +725,6 @@ def test_replace_to_another_source_settles_its_defaults_again(old, new, standin_
     replaced = dataclasses.replace(ExperimentConfig(**source(old)), **source(new))
     assert replaced == fresh and hash(replaced) == hash(fresh)
     assert replaced.resolved_pairs == fresh.resolved_pairs
-    assert replaced.resolved_standardize_knn is fresh.resolved_standardize_knn
     assert replaced.resolved_shifts == fresh.resolved_shifts
     assert np.array_equal(replaced.resolved_counts, fresh.resolved_counts)
 

@@ -62,6 +62,10 @@ def test_dp_gap_requires_both_groups():
         dp_gap([1, 0], [0, 0])
     with pytest.raises(ValueError, match="undefined DP gap: group z=0 is empty"):
         dp_gap([1, 0], [1, 1])
+    with pytest.raises(ValueError, match="^predictions must be one-dimensional$"):
+        dp_gap([[0, 1]], [0, 1])
+    with pytest.raises(ValueError, match="^length mismatch: 2 predictions, 3 groups$"):
+        dp_gap([0, 1], [0, 1, 1])
 
 
 # ---------------------------------------------------------------- fairness
@@ -111,6 +115,11 @@ def test_evaluate_perfect_predictor():
     assert result.accuracy == 1.0
     assert result.dp_gap_signed == 0.0
     assert result.fairness == 1.0
+
+
+def test_evaluate_rejects_an_empty_test_set():
+    with pytest.raises(ValueError, match="^cannot evaluate on an empty test set$"):
+        evaluate(stump_model(), Dataset.empty(2))
 
 
 def test_eval_result_consistency_enforced():

@@ -466,6 +466,10 @@ def test_forest_input_validation():
         train_forest(np.zeros((2, 2)), np.array([0, 2]))
     with pytest.raises(ValueError, match="does not match"):
         train_forest(np.zeros((2, 2)), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="^features must be a 2-D matrix, got ndim=1$"):
+        train_forest(np.zeros(4), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="^features_per_split=4 exceeds feature count 3$"):
+        train_forest(np.zeros((4, 3)), np.array([0, 1, 0, 1]), ForestSpec(features_per_split=4))
 
 
 def nonfinite_data():
@@ -858,6 +862,8 @@ def test_predict_dim_mismatch():
     model = train_forest(*separated_data(10, n=40), ForestSpec(n_trees=3))
     with pytest.raises(ValueError, match="expects 3 features"):
         predict(model, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="^features must be a 2-D matrix, got ndim=1$"):
+        predict(model, np.zeros(3))
 
 
 def test_predict_rejects_nonfinite_features():

@@ -44,6 +44,6 @@ def test_readme_api_list_matches_exports():
 def test_readme_config_paragraph_names_every_settled_field():
     paragraph = next(p for p in README.split("\n\n") if p.startswith("`ExperimentConfig` keeps"))
     settled = [f.name for f in dataclasses.fields(sgmix.ExperimentConfig) if not f.init]
-    assert len(settled) == 4
+    assert len(settled) == 3
     for name in settled:
         assert f"`{name}`" in paragraph, name

@@ -154,7 +154,7 @@ def test_every_seeded_entry_point_rejects_a_fractional_seed(entry):
     # int(2.5) would quietly build the seed-2 output; numpy's own errors for
     # None and -1 do not name the seed.
     for seed, message in ((2.5, "an integer, got 2.5"), (None, "an integer, got None"),
-                          (-1, ">= 0, got -1")):
+                          (True, "an integer, got True"), (-1, ">= 0, got -1")):
         with pytest.raises(ValueError, match=f"^seed must be {message}$"):
             SEEDED[entry](seed)
     for seed in (np.int64(2), np.uint32(2)):
