@@ -4,9 +4,10 @@ The central routine, :func:`fsgm_augment`, draws a sample from a chosen
 source subgroup, finds its k nearest neighbors inside a chosen target
 subgroup, and emits convex combinations of the pair sharing one Beta-drawn
 mixing weight per source draw. It makes every draw first and then searches
-each pair's neighbors once, for all of that pair's source draws together;
-since sources are drawn with replacement, that search covers each distinct
-source row once.
+each pair's neighbors once, for all of that pair's new source rows together.
+A row's neighbors depend only on the dataset, so the dataset keeps them: a
+source row is searched once per dataset, pair, k and scaling, however often
+it is drawn and however many calls draw it.
 Class and group labels of the new samples are the indicator of the
 interpolated label reaching 1/2, so each new point inherits the labels of
 whichever parent it lies closer to.
@@ -135,7 +136,8 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     then one mixing weight, and emit k mixed samples sharing that weight, one
     per nearest target-subgroup neighbor of the source. Every batch is drawn
     first; then one neighbor search per pair covers each distinct source row
-    its batches drew, once, and every batch takes its source's neighbors. The
+    its batches drew that no earlier call on this dataset searched, and every
+    batch takes its source's neighbors from the table the dataset keeps. The
     last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
     source_members = []
@@ -148,10 +150,6 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
         target_members(dataset, pair.target, config.k)  # fail before any draw
         source_members.append(src)
 
-    search = dataset  # the neighbor search runs in z-scored space when asked
-    if config.standardize:
-        mean, std = feature_standardizer(dataset.x)
-        search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
     n, k, stride = config.new_count, config.k, len(config.pairs)
     batches = -(-n // k)
     stream = RngStream(config.seed)
@@ -161,17 +159,32 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
         picks.append(stream.integers(sizes[b % stride]))
         lams.append(beta_sample(stream, config.alpha))
     picks = np.array(picks, dtype=np.int64)
+    # a row's neighbors depend only on the dataset, the target, k and the
+    # scaling, never on the other rows searched with it, so each pair keeps
+    # one table per dataset whose row i, once searched, holds source member
+    # i's neighbors; -1 marks a row not searched yet
+    tables, unseen = [], []
+    for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
+        key = (pair, k, config.standardize)
+        if key not in dataset.memo:
+            dataset.memo[key] = np.full((members.size, k), -1, dtype=np.int64)
+        tables.append(dataset.memo[key])
+        drawn = np.zeros(members.size, dtype=bool)
+        drawn[picks[p::stride]] = True
+        unseen.append(np.flatnonzero(drawn & (tables[p][:, 0] < 0)))
+
+    search = dataset  # the neighbor search runs in z-scored space when asked
+    if config.standardize and any(rows.size for rows in unseen):
+        mean, std = feature_standardizer(dataset.x)
+        search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
     sources = np.empty(batches, dtype=np.int64)
     neighbors = np.empty((batches, k), dtype=np.int64)
     for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
-        # a row's neighbors do not depend on the other rows searched with it,
-        # so each distinct pick is searched once; where[b] is batch b's row
-        drawn = np.zeros(members.size, dtype=bool)
-        drawn[picks[p::stride]] = True
-        where = np.cumsum(drawn)[picks[p::stride]] - 1
+        if unseen[p].size:
+            tables[p][unseen[p]] = knn_in_subgroup(
+                search, search.x[members[unseen[p]]], pair.target, k)
         sources[p::stride] = members[picks[p::stride]]
-        neighbors[p::stride] = knn_in_subgroup(
-            search, search.x[members[drawn]], pair.target, k)[where]
+        neighbors[p::stride] = tables[p][picks[p::stride]]
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(np.array(lams), k)[:n])

@@ -28,10 +28,13 @@ class Dataset:
     Features live in a read-only (T, d) matrix of finite float64 values; class
     and group labels in read-only 0/1 int vectors. Augmenters never mutate a
     Dataset, they return new ones, so every cell of a replicate reads the same
-    train and test sets.
+    train and test sets. A Dataset keeps fsgm's neighbour tables in its memo
+    for its lifetime, so repeated fsgm_augment calls search each source row
+    once; a new Dataset, such as a subset, a concat or an augmenter's output,
+    starts with an empty memo.
     """
 
-    __slots__ = ("_x", "_y", "_z")
+    __slots__ = ("_x", "_y", "_z", "_memo")
 
     def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         x = np.array(x, dtype=np.float64, copy=True, order="C")
@@ -53,6 +56,7 @@ class Dataset:
         for arr in (x, y, z):
             arr.setflags(write=False)
         self._x, self._y, self._z = x, y, z
+        self._memo = {}
 
     @classmethod
     def empty(cls, dim: int) -> "Dataset":
@@ -69,6 +73,11 @@ class Dataset:
     @property
     def z(self) -> np.ndarray:
         return self._z
+
+    @property
+    def memo(self) -> dict:
+        """Values derived from this dataset alone, kept while it lives."""
+        return self._memo
 
     @property
     def dim(self) -> int:
@@ -140,9 +149,21 @@ def check_finite(x: np.ndarray) -> None:
 
 
 def feature_standardizer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and standard deviation of the rows of x (zeros become 1)."""
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    """Per-feature mean and standard deviation of the rows of x (zeros become 1).
+
+    A column whose plain mean or std overflows, as a column holding 1e160
+    does when its deviations are squared, is divided by its largest absolute
+    value, measured, and scaled back; every other column keeps numpy's bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    wide = ~(np.isfinite(mean) & np.isfinite(std))
+    if wide.any():
+        scale = np.abs(x[:, wide]).max(axis=0)
+        scaled = x[:, wide] / scale
+        mean[wide] = scaled.mean(axis=0) * scale
+        std[wide] = scaled.std(axis=0) * scale
     std[std == 0.0] = 1.0
     return mean, std
 

@@ -76,8 +76,9 @@ DEFAULT_PAIRS = {
 class ExperimentConfig:
     """Everything run_experiment needs; exactly one data source must be set.
 
-    The fields a caller sets keep what was given; None in pairs, shifts or
-    counts means the data source's default. The three resolved_* fields hold
+    The fields a caller sets keep what was given, save that counts are
+    stored as a tuple of int tuples; None in pairs, shifts or counts means
+    the data source's default. The three resolved_* fields hold
     what a run uses, settled here once from the source, so
     dataclasses.replace settles them again and == compares only what the
     caller set. fsgm's kNN search z-scores a CSV's features and leaves a
@@ -140,6 +141,8 @@ class ExperimentConfig:
             shifts = preset.shifts if self.shifts is None else self.shifts
             # ScenarioConfig validates the counts the generator will see.
             counts = ScenarioConfig(preset.counts if self.counts is None else self.counts).counts
+            if self.counts is not None:  # as the CLI passes them, so configs compare and hash
+                object.__setattr__(self, "counts", tuple(map(tuple, counts.tolist())))
             dim = shifts.dim
         source = self.scenario if has_scenario else "csv"
         object.__setattr__(self, "resolved_pairs", check_pairs(

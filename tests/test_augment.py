@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from sgmix import (
 from sgmix import neighbors
 from sgmix import augment as augment_module
 from sgmix.augment import bootstrap, make_pair, vanilla_mixup
-from sgmix.data import SubgroupKey, subgroup_indices
+from sgmix.data import SubgroupKey, feature_standardizer, subgroup_indices
 from sgmix.rng import RngStream, beta_sample
 
 from conftest import random_dataset, run_python
@@ -420,6 +421,96 @@ def test_fsgm_searches_each_distinct_source_row_once(monkeypatch):
     for query, rows in zip(queries, drawn):
         assert len(np.unique(query, axis=0)) == len(query)
         assert np.array_equal(query, ds.x[sorted(rows)])
+
+
+def drawn_rows(dataset, config, batches):
+    """Replay fsgm's draws: the set of dataset rows each pair's batches drew."""
+    stream = RngStream(config.seed)
+    drawn = [set() for _ in config.pairs]
+    for b in range(batches):
+        members = subgroup_indices(dataset, config.pairs[b % len(config.pairs)].source)
+        drawn[b % len(config.pairs)].add(int(members[stream.integers(members.size)]))
+        beta_sample(stream, config.alpha)
+    return drawn
+
+
+def same_report(first, second):
+    """Byte-equal produced rows and equal bookkeeping."""
+    arrays = [(getattr(first.produced, name), getattr(second.produced, name)) for name in "xyz"]
+    return (all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in arrays)
+            and (first.per_pair_counts, first.lambda_draws)
+            == (second.per_pair_counts, second.lambda_draws))
+
+
+def test_fsgm_calls_sharing_a_dataset_match_calls_on_fresh_copies(monkeypatch):
+    # interleaved alphas, seeds, k, scalings and pair orders on one dataset
+    ds = scaled_dataset(6)
+    pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    settings = list(itertools.product((0.1, 4.0), (3, 8), (3, 5), (False, True),
+                                      (pairs, pairs[::-1])))
+    searched = []
+    monkeypatch.setattr(augment_module, "knn_in_subgroup", lambda dataset, query, target, k: (
+        searched.append(len(query)) or neighbors.knn_in_subgroup(dataset, query, target, k)))
+    wanted = set()
+    for alpha, seed, k, standardize, order in (settings[i] for i in
+                                               np.random.default_rng(0).permutation(len(settings))):
+        cfg = FsgmConfig(pairs=order, new_count=60, k=k, alpha=alpha, seed=seed,
+                         standardize=standardize)
+        shared = fsgm_augment(ds, cfg)
+        for pair, rows in zip(cfg.pairs, drawn_rows(ds, cfg, shared.lambda_draws)):
+            wanted |= {(pair, k, standardize, row) for row in rows}
+        searched_before = len(searched)
+        assert same_report(shared, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
+        del searched[searched_before:]  # count only the shared dataset's searches
+    # each (pair, k, scaling, source row) was searched exactly once
+    assert sum(searched) == len(wanted)
+    assert len(ds.memo) == 2 * 2 * 2  # one table per pair, k and scaling, in either order
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_fsgm_searches_only_rows_no_earlier_call_searched(monkeypatch, standardize):
+    ds = scaled_dataset(5)
+    mean, std = feature_standardizer(ds.x)
+    space = (ds.x - mean) / std if standardize else ds.x
+    pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+    calls, scalings = [], []
+    monkeypatch.setattr(augment_module, "knn_in_subgroup", lambda dataset, query, target, k: (
+        calls.append((target, query)) or neighbors.knn_in_subgroup(dataset, query, target, k)))
+    monkeypatch.setattr(augment_module, "feature_standardizer", lambda x: (
+        scalings.append(len(x)) or feature_standardizer(x)))
+
+    def run(seed):
+        """The call's report, its drawn rows, and its searches and scalings."""
+        del calls[:], scalings[:]
+        cfg = FsgmConfig(pairs=pairs, new_count=100, k=5, alpha=0.6, seed=seed,
+                         standardize=standardize)
+        report = fsgm_augment(ds, cfg)
+        seen = calls[:], scalings[:]
+        assert same_report(report, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
+        return report, drawn_rows(ds, cfg, report.lambda_draws), *seen
+
+    first, first_rows, first_calls, first_scalings = run(5)
+    assert [len(query) for _, query in first_calls] == [len(rows) for rows in first_rows]
+    assert first_scalings == [len(ds)] * standardize
+    _, second_rows, second_calls, _ = run(6)
+    new_rows = [second - first for first, second in zip(first_rows, second_rows)]
+    # the seeds overlap on some rows of each pair and not on others
+    assert all(rows and rows != second for rows, second in zip(new_rows, second_rows))
+    assert [target for target, _ in second_calls] == [SubgroupKey(*t) for _, t in pairs]
+    for (_, query), rows in zip(second_calls, new_rows):
+        assert np.array_equal(query, space[sorted(rows)])
+    repeat, _, repeat_calls, repeat_scalings = run(5)
+    assert repeat_calls == repeat_scalings == [] and same_report(repeat, first)
+
+
+def test_new_datasets_start_with_an_empty_memo():
+    ds = scaled_dataset(7)
+    cfg = FsgmConfig(pairs=(((0, 0), (1, 1)),), new_count=20, k=5, seed=7)
+    report = fsgm_augment(ds, cfg)
+    assert list(ds.memo) == [(cfg.pairs[0], 5, False)]
+    for fresh in (ds.subset(np.arange(len(ds))), concat(ds, ds), report.produced,
+                  Dataset(ds.x, ds.y, ds.z)):
+        assert fresh.memo == {}
 
 
 def test_fsgm_with_more_pairs_than_batches():

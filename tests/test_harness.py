@@ -673,7 +673,7 @@ def test_experiment_config_fills_source_defaults(standin_path, standin_schema):
     given = ExperimentConfig(scenario="underrepresented-subgroup", pairs=BOTH_WAY_PAIRS,
                              shifts=shifts, counts=counts)
     assert given.pairs is BOTH_WAY_PAIRS
-    assert given.shifts is shifts and given.counts is counts
+    assert given.shifts is shifts and given.counts == ((20, 20), (5, 20))
     assert given.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
     assert given.resolved_shifts is shifts
     np.testing.assert_array_equal(given.resolved_counts, counts)
@@ -684,6 +684,22 @@ def test_experiment_config_fills_source_defaults(standin_path, standin_schema):
     assert tabular.resolved_pairs == check_pairs(BOTH_WAY_PAIRS)
     assert tabular.shifts is None and tabular.counts is None
     assert tabular.resolved_shifts is None and tabular.resolved_counts is None
+
+
+def test_experiment_configs_with_equal_counts_compare_and_hash_equal():
+    # numpy's == on an array field raised in __eq__, and an array or a list
+    # is unhashable; counts are now stored as the CLI passes them
+    given = (np.array([[10, 30], [10, 30]]), [[10, 30], [10, 30]], ((10, 30), (10, 30)),
+             np.array([[10.0, 30.0], [10.0, 30.0]]))
+    configs = [ExperimentConfig(scenario="unbalanced-groups", counts=counts) for counts in given]
+    for config in configs:
+        assert config.counts == ((10, 30), (10, 30))
+        assert all(type(n) is int for row in config.counts for n in row)
+        assert config == configs[0] and hash(config) == hash(configs[0])
+        np.testing.assert_array_equal(config.resolved_counts, given[0])
+    assert len({*configs}) == 1
+    other = ExperimentConfig(scenario="unbalanced-groups", counts=[[10, 30], [10, 31]])
+    assert other != configs[0]
 
 
 def test_fsgm_scales_its_neighbour_search_by_the_data_source(tmp_path, monkeypatch):

@@ -80,6 +80,30 @@ def test_feature_standardizer_guards_constant_columns():
     assert std[1] == 1.0
 
 
+@pytest.mark.parametrize("column", [[1e160, 0.0, 1.0], [1e300, -1e300] * 3],
+                         ids=["1e160-cell", "alternating-1e300"])
+def test_feature_standardizer_measures_columns_whose_squares_overflow(recwarn, column):
+    x = np.column_stack([column, np.arange(len(column), dtype=np.float64)])
+    mean, std = feature_standardizer(x)
+    assert np.isfinite(mean).all() and (np.isfinite(std) & (std > 0)).all()
+    np.testing.assert_allclose(std[0], np.std(np.array(column) / 1e150) * 1e150)
+    assert mean[1] == x[:, 1].mean() and std[1] == x[:, 1].std()
+    scored = (x - mean) / std
+    assert np.isfinite(scored).all() and (scored[:, 0] != 0).any()
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_feature_standardizer_keeps_numpys_bits_on_ordinary_columns():
+    rng = np.random.default_rng(3)
+    for rows, cols in ((1, 1), (2, 3), (17, 5), (300, 9)):
+        x = rng.standard_normal((rows, cols)) * rng.uniform(1e-3, 1e6, cols)
+        mean, std = feature_standardizer(x)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        plain = x.std(axis=0)
+        plain[plain == 0.0] = 1.0
+        assert std.tobytes() == plain.tobytes()
+
+
 def test_knn_validates_inputs():
     ds = random_dataset(0)
     with pytest.raises(ValueError, match="k must be"):
