@@ -38,8 +38,12 @@ def make_pair(source, target) -> MixPair:
 
 
 def check_pairs(pairs) -> tuple[MixPair, ...]:
-    """Normalise pairs with make_pair; reject none, repeats, loops and non-0/1 labels."""
-    pairs = tuple(make_pair(*p) for p in pairs)
+    """Normalise pairs with make_pair; reject a string, a scalar or a mis-nested
+    pair, none, repeats, loops and non-0/1 labels."""
+    try:
+        pairs = tuple(make_pair(*p) for p in pairs)
+    except TypeError:
+        raise ValueError(f"pairs must hold ((y, z), (y, z)) pairs, got {pairs!r}") from None
     if not pairs:
         raise ValueError("at least one source/target pair is required")
     if len(set(pairs)) != len(pairs):
@@ -76,6 +80,9 @@ class FsgmConfig:
         check_sizes(new_count=self.new_count, k=self.k)
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not isinstance(self.standardize, (bool, np.bool_)):
+            raise ValueError(f"standardize must be True or False, got {self.standardize!r}")
+        object.__setattr__(self, "standardize", bool(self.standardize))
 
 
 @dataclass(frozen=True)
@@ -135,10 +142,10 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     Each batch: pick the next pair round-robin, draw a uniform source sample,
     then one mixing weight, and emit k mixed samples sharing that weight, one
     per nearest target-subgroup neighbor of the source. Every batch is drawn
-    first; then one neighbor search per pair covers each distinct source row
-    its batches drew that no earlier call on this dataset searched, and every
-    batch takes its source's neighbors from the table the dataset keeps. The
-    last of the ceil(new_count / k) batches is truncated so the count is exact.
+    first; then, pair by pair, one neighbor search covers each distinct source
+    row the pair drew that no earlier call on this dataset searched, and every
+    batch reads its source's neighbors from the pair's table in dataset.memo.
+    The last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
     source_members = []
     for pair in config.pairs:
@@ -163,28 +170,26 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     # scaling, never on the other rows searched with it, so each pair keeps
     # one table per dataset whose row i, once searched, holds source member
     # i's neighbors; -1 marks a row not searched yet
-    tables, unseen = [], []
+    search = None  # the search space, z-scored when asked, built on first need
+    sources = np.empty(batches, dtype=np.int64)
+    neighbors = np.empty((batches, k), dtype=np.int64)
     for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
         key = (pair, k, config.standardize)
         if key not in dataset.memo:
             dataset.memo[key] = np.full((members.size, k), -1, dtype=np.int64)
-        tables.append(dataset.memo[key])
+        table = dataset.memo[key]
         drawn = np.zeros(members.size, dtype=bool)
         drawn[picks[p::stride]] = True
-        unseen.append(np.flatnonzero(drawn & (tables[p][:, 0] < 0)))
-
-    search = dataset  # the neighbor search runs in z-scored space when asked
-    if config.standardize and any(rows.size for rows in unseen):
-        mean, std = feature_standardizer(dataset.x)
-        search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
-    sources = np.empty(batches, dtype=np.int64)
-    neighbors = np.empty((batches, k), dtype=np.int64)
-    for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
-        if unseen[p].size:
-            tables[p][unseen[p]] = knn_in_subgroup(
-                search, search.x[members[unseen[p]]], pair.target, k)
+        unseen = np.flatnonzero(drawn & (table[:, 0] < 0))
+        if unseen.size:
+            if search is None:
+                search = dataset
+                if config.standardize:
+                    mean, std = feature_standardizer(dataset.x)
+                    search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
+            table[unseen] = knn_in_subgroup(search, search.x[members[unseen]], pair.target, k)
         sources[p::stride] = members[picks[p::stride]]
-        neighbors[p::stride] = tables[p][picks[p::stride]]
+        neighbors[p::stride] = table[picks[p::stride]]
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(np.array(lams), k)[:n])

@@ -171,7 +171,7 @@ def config_from_settings(settings: dict[str, str]) -> tuple[ExperimentConfig, st
             counts = preset.counts.tolist()
             for (y, z), n in parts["counts"].items():
                 counts[y][z] = n
-            fields["counts"] = tuple(map(tuple, counts))
+            fields["counts"] = counts
     if fields.get("csv_path") is not None:
         fields["csv_schema"] = _schema_from(parts["csv"])
     fields["forest"] = ForestSpec(**parts["forest"])

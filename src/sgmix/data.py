@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -22,23 +23,28 @@ ALL_SUBGROUPS: tuple[SubgroupKey, ...] = (
 )
 
 
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable ordered collection of samples with a fixed feature dimension.
 
     Features live in a read-only (T, d) matrix of finite float64 values; class
-    and group labels in read-only 0/1 int vectors. Augmenters never mutate a
-    Dataset, they return new ones, so every cell of a replicate reads the same
-    train and test sets. A Dataset keeps fsgm's neighbour tables in its memo
-    for its lifetime, so repeated fsgm_augment calls search each source row
-    once; a new Dataset, such as a subset, a concat or an augmenter's output,
-    starts with an empty memo.
+    and group labels in read-only 0/1 int vectors. A frozen dataclass: setting
+    any attribute raises AttributeError, and == and hash are identity.
+    Augmenters never mutate a Dataset, they return new ones, so every cell of
+    a replicate reads the same train and test sets. memo keeps fsgm's
+    neighbour tables for the dataset's lifetime, so repeated fsgm_augment
+    calls search each source row once; a new Dataset, such as a subset, a
+    concat or an augmenter's output, starts with an empty memo.
     """
 
-    __slots__ = ("_x", "_y", "_z", "_memo")
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        x = np.array(x, dtype=np.float64, copy=True, order="C")
-        y, z = np.asarray(y), np.asarray(z)
+    def __post_init__(self):
+        x = np.array(self.x, dtype=np.float64, copy=True, order="C")
+        y, z = np.asarray(self.y), np.asarray(self.z)
         if x.ndim != 2:
             raise ValueError(f"features must form a (T, d) matrix, got shape {x.shape}")
         if y.shape != (x.shape[0],) or z.shape != (x.shape[0],):
@@ -53,38 +59,20 @@ class Dataset:
         # Cast only checked labels: a cast would cut 0.5 to 0 and warn on NaN.
         y, z = y.astype(np.int64), z.astype(np.int64)
         check_finite(x)
-        for arr in (x, y, z):
+        for name, arr in (("x", x), ("y", y), ("z", z)):
             arr.setflags(write=False)
-        self._x, self._y, self._z = x, y, z
-        self._memo = {}
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def empty(cls, dim: int) -> "Dataset":
         return cls(np.empty((0, dim)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @property
-    def x(self) -> np.ndarray:
-        return self._x
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._y
-
-    @property
-    def z(self) -> np.ndarray:
-        return self._z
-
-    @property
-    def memo(self) -> dict:
-        """Values derived from this dataset alone, kept while it lives."""
-        return self._memo
-
-    @property
     def dim(self) -> int:
-        return self._x.shape[1]
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return self._x.shape[0]
+        return self.x.shape[0]
 
     def __repr__(self) -> str:
         return f"Dataset(T={len(self)}, d={self.dim})"
@@ -95,7 +83,7 @@ class Dataset:
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
         idx = idx.astype(np.int64, copy=False)
-        return Dataset(self._x[idx], self._y[idx], self._z[idx])
+        return Dataset(self.x[idx], self.y[idx], self.z[idx])
 
 
 def concat(first: Dataset, second: Dataset) -> Dataset:

@@ -72,17 +72,29 @@ DEFAULT_PAIRS = {
 }
 
 
+def _as_tuple(name: str, value) -> tuple:
+    """value's items as a tuple; a string or scalar, which tuple() would split
+    into characters or reject with a TypeError, is an error naming the field."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything run_experiment needs; exactly one data source must be set.
 
-    The fields a caller sets keep what was given, save that counts are
-    stored as a tuple of int tuples; None in pairs, shifts or counts means
-    the data source's default. The three resolved_* fields hold
-    what a run uses, settled here once from the source, so
-    dataclasses.replace settles them again and == compares only what the
-    caller set. fsgm's kNN search z-scores a CSV's features and leaves a
-    scenario's as they are.
+    The fields a caller sets keep what was given, save that methods, models
+    and alpha_grid are stored as tuples, and pairs and counts as nested
+    tuples of ints, so a config given lists compares and hashes as the
+    tuple form; None in pairs, shifts or counts means the data source's
+    default. The three resolved_* fields hold what a run uses, settled here
+    once from the source, so dataclasses.replace settles them again and ==
+    compares only what the caller set. fsgm's kNN search z-scores a CSV's
+    features and leaves a scenario's as they are.
     """
 
     scenario: str | None = None
@@ -112,6 +124,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of scenario and csv_path must be set")
         if has_csv and self.csv_schema is None:
             raise ValueError("csv_path requires csv_schema")
+        for name in ("methods", "models", "alpha_grid"):
+            object.__setattr__(self, name, _as_tuple(name, getattr(self, name)))
         if not self.methods:
             raise ValueError("methods must be nonempty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -141,12 +155,16 @@ class ExperimentConfig:
             shifts = preset.shifts if self.shifts is None else self.shifts
             # ScenarioConfig validates the counts the generator will see.
             counts = ScenarioConfig(preset.counts if self.counts is None else self.counts).counts
-            if self.counts is not None:  # as the CLI passes them, so configs compare and hash
+            if self.counts is not None:  # so configs compare and hash
                 object.__setattr__(self, "counts", tuple(map(tuple, counts.tolist())))
             dim = shifts.dim
         source = self.scenario if has_scenario else "csv"
-        object.__setattr__(self, "resolved_pairs", check_pairs(
-            DEFAULT_PAIRS[source] if self.pairs is None else self.pairs))
+        pairs = check_pairs(DEFAULT_PAIRS[source] if self.pairs is None else self.pairs)
+        if self.pairs is not None:  # labels are checked 0/1, so int() is exact
+            given = tuple(tuple(tuple(map(int, side)) for side in pair) for pair in pairs)
+            if given != self.pairs:  # an equal tuple form is kept as given
+                object.__setattr__(self, "pairs", given)
+        object.__setattr__(self, "resolved_pairs", pairs)
         object.__setattr__(self, "resolved_shifts", shifts)
         object.__setattr__(self, "resolved_counts", counts)
         m = self.forest.features_per_split

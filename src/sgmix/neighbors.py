@@ -1,6 +1,9 @@
 """Exact nearest-neighbor search restricted to one target subgroup."""
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .data import Dataset, SubgroupKey, check_finite, check_sizes, subgroup_indices
@@ -52,6 +55,11 @@ def knn_in_subgroup(
     members = target_members(dataset, target, k)
     xt = np.ascontiguousarray(dataset.x[members].T)
     queries = np.atleast_2d(query)
+    # a finite gap can overflow when squared and summed; distances order the
+    # same at any scale, so features that large are searched scaled to [-1, 1]
+    scale = max(xt.max(), -xt.min(), queries.max(initial=0.0), -queries.min(initial=0.0))
+    if scale > math.sqrt(sys.float_info.max / (4 * dataset.dim)):
+        xt, queries = xt / scale, queries / scale
     rows = max(1, _BLOCK_VALUES // max(1, xt.size))
     nearest = np.empty((len(queries), k), dtype=np.int64)
     for start in range(0, len(queries), rows):

@@ -259,6 +259,24 @@ def test_fsgm_config_validation():
         FsgmConfig(pairs=(pair,), new_count=1, k=10**20)
 
 
+@pytest.mark.parametrize("given", [True, False, np.True_, np.False_])
+def test_fsgm_config_standardize_takes_python_and_numpy_bools(given):
+    config = FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=1, standardize=given)
+    assert config.standardize is bool(given)
+
+
+@pytest.mark.parametrize("given", ["no", 1, 0, None])
+def test_fsgm_config_rejects_a_standardize_that_is_not_a_bool(given):
+    with pytest.raises(ValueError, match=f"^standardize must be True or False, got {given!r}$"):
+        FsgmConfig(pairs=(((0, 0), (1, 0)),), new_count=1, standardize=given)
+
+
+@pytest.mark.parametrize("pairs", [((0, 0), (1, 0)), "10->00", 5, (((0, 0), (1, 0), (1, 1)),)])
+def test_check_pairs_rejects_a_mis_nested_pair_with_a_value_error(pairs):
+    with pytest.raises(ValueError, match=r"^pairs must hold \(\(y, z\), \(y, z\)\) pairs, got "):
+        FsgmConfig(pairs=pairs, new_count=1)
+
+
 def test_fsgm_standardization_can_flip_neighbor():
     # feature 2 spans [0, 1000] and dominates raw distances: from the one
     # source row (0, 400) the raw nearest target is (5, 0); after dataset-wide

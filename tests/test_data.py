@@ -42,6 +42,15 @@ def test_dataset_is_immutable():
     assert ds2.x[0, 0] == 7.0
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z", "memo", "extra"])
+def test_dataset_attributes_cannot_be_assigned(name):
+    ds = Dataset([[1.0, 2.0]], [0], [1])
+    with pytest.raises(AttributeError):
+        setattr(ds, name, np.zeros(1))
+    assert not any(arr.flags.writeable for arr in (ds.x, ds.y, ds.z))
+    assert ds.x.tolist() == [[1.0, 2.0]] and ds.memo == {}
+
+
 def test_empty_dataset():
     ds = Dataset.empty(4)
     assert len(ds) == 0 and ds.dim == 4

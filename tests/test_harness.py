@@ -702,6 +702,33 @@ def test_experiment_configs_with_equal_counts_compare_and_hash_equal():
     assert other != configs[0]
 
 
+def test_experiment_configs_given_lists_compare_and_hash_as_tuples():
+    as_lists = ExperimentConfig(scenario="unbalanced-groups", methods=["original", "fsgm"],
+                                models=["forest"], alpha_grid=[0.5, 2.0],
+                                pairs=[[[0, 0], [1, 0]], [np.array([1, 0]), (0, 0)]])
+    as_tuples = ExperimentConfig(scenario="unbalanced-groups", methods=("original", "fsgm"),
+                                 models=("forest",), alpha_grid=(0.5, 2.0),
+                                 pairs=(((0, 0), (1, 0)), ((1, 0), (0, 0))))
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    assert as_lists.methods == ("original", "fsgm") and as_lists.alpha_grid == (0.5, 2.0)
+    assert as_lists.pairs == (((0, 0), (1, 0)), ((1, 0), (0, 0)))
+    assert all(type(label) is int for pair in as_lists.pairs for side in pair for label in side)
+    assert as_lists.resolved_pairs == as_tuples.resolved_pairs
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("methods", "fsgm", "methods must be a sequence, got 'fsgm'"),
+    ("models", "mlp", "models must be a sequence, got 'mlp'"),
+    ("alpha_grid", 2.0, "alpha_grid must be a sequence, got 2.0"),
+    ("alpha_grid", "1,2", "alpha_grid must be a sequence, got '1,2'"),
+    ("pairs", ((0, 0), (1, 0)), r"pairs must hold \(\(y, z\), \(y, z\)\) pairs, got \(\(0, 0\)"),
+    ("pairs", 3, r"pairs must hold \(\(y, z\), \(y, z\)\) pairs, got 3"),
+])
+def test_experiment_config_rejects_a_sequence_field_of_the_wrong_shape(field, value, message):
+    with pytest.raises(ValueError, match="^" + message):
+        ExperimentConfig(scenario="unbalanced-groups", **{field: value})
+
+
 def test_fsgm_scales_its_neighbour_search_by_the_data_source(tmp_path, monkeypatch):
     """A CSV's columns are z-scored for the kNN search; a scenario's are not."""
     ds = random_dataset(17, t=50, d=3)

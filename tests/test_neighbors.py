@@ -177,6 +177,16 @@ def test_knn_rejects_nonfinite_query_or_features(bad):
         knn_in_subgroup(Dataset(x, ds.y, ds.z), ds.x[0], key, k=2)
 
 
+@pytest.mark.parametrize("size", [1e160, 1e300, 1.7e308])
+def test_knn_orders_features_whose_squared_gaps_overflow(size):
+    # finite gaps of 1e154 or more overflow when squared; the suite turns
+    # numpy's overflow warning into an error
+    x = np.array([[-1.0, 0.0], [0.1, 0.0], [0.5, 0.1], [0.9, -0.2], [0.0, 1.0]]) * size
+    ds = Dataset(x, [0, 1, 1, 1, 1], [0, 0, 0, 0, 0])
+    found = knn_in_subgroup(ds, np.array([[0.8, 0.0], [0.0, 0.8]]) * size, SubgroupKey(1, 0), k=2)
+    assert found.tolist() == [[3, 2], [4, 1]]
+
+
 @pytest.mark.parametrize("d", [7, 8, 130])  # the column loop; the (rows, M, d) block twice
 def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
     # 500 queries against 500 members: one (500, 500, d) difference array
