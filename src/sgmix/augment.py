@@ -3,11 +3,11 @@
 The central routine, :func:`fsgm_augment`, draws a sample from a chosen
 source subgroup, finds its k nearest neighbors inside a chosen target
 subgroup, and emits convex combinations of the pair sharing one Beta-drawn
-mixing weight per source draw. It makes every draw first and then searches
-each pair's neighbors once, for all of that pair's new source rows together.
-A row's neighbors depend only on the dataset, so the dataset keeps them: a
-source row is searched once per dataset, pair, k and scaling, however often
-it is drawn and however many calls draw it.
+mixing weight per source draw. It makes every draw first and then reads
+each source's neighbors from its pair's table. A row's neighbors depend only
+on the dataset, so the dataset keeps the tables: each pair's source subgroup
+is searched once per dataset, k and scaling, however many calls draw from
+it.
 Class and group labels of the new samples are the indicator of the
 interpolated label reaching 1/2, so each new point inherits the labels of
 whichever parent it lies closer to.
@@ -142,9 +142,9 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
     Each batch: pick the next pair round-robin, draw a uniform source sample,
     then one mixing weight, and emit k mixed samples sharing that weight, one
     per nearest target-subgroup neighbor of the source. Every batch is drawn
-    first; then, pair by pair, one neighbor search covers each distinct source
-    row the pair drew that no earlier call on this dataset searched, and every
-    batch reads its source's neighbors from the pair's table in dataset.memo.
+    first; then every batch reads its source's neighbors from the pair's table
+    in dataset.memo. Each pair's source subgroup is searched once per dataset,
+    k and scaling, by the first call that needs the table.
     The last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
     source_members = []
@@ -167,29 +167,23 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
         lams.append(beta_sample(stream, config.alpha))
     picks = np.array(picks, dtype=np.int64)
     # a row's neighbors depend only on the dataset, the target, k and the
-    # scaling, never on the other rows searched with it, so each pair keeps
-    # one table per dataset whose row i, once searched, holds source member
-    # i's neighbors; -1 marks a row not searched yet
+    # scaling, so the first call that needs a pair's table searches the
+    # pair's whole source subgroup and the dataset keeps the table, whose
+    # row i holds source member i's neighbors
     search = None  # the search space, z-scored when asked, built on first need
     sources = np.empty(batches, dtype=np.int64)
     neighbors = np.empty((batches, k), dtype=np.int64)
     for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
         key = (pair, k, config.standardize)
         if key not in dataset.memo:
-            dataset.memo[key] = np.full((members.size, k), -1, dtype=np.int64)
-        table = dataset.memo[key]
-        drawn = np.zeros(members.size, dtype=bool)
-        drawn[picks[p::stride]] = True
-        unseen = np.flatnonzero(drawn & (table[:, 0] < 0))
-        if unseen.size:
             if search is None:
                 search = dataset
                 if config.standardize:
                     mean, std = feature_standardizer(dataset.x)
                     search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
-            table[unseen] = knn_in_subgroup(search, search.x[members[unseen]], pair.target, k)
+            dataset.memo[key] = knn_in_subgroup(search, search.x[members], pair.target, k)
         sources[p::stride] = members[picks[p::stride]]
-        neighbors[p::stride] = table[picks[p::stride]]
+        neighbors[p::stride] = dataset.memo[key][picks[p::stride]]
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(np.array(lams), k)[:n])

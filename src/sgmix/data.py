@@ -32,9 +32,9 @@ class Dataset:
     any attribute raises AttributeError, and == and hash are identity.
     Augmenters never mutate a Dataset, they return new ones, so every cell of
     a replicate reads the same train and test sets. memo keeps fsgm's
-    neighbour tables for the dataset's lifetime, so repeated fsgm_augment
-    calls search each source row once; a new Dataset, such as a subset, a
-    concat or an augmenter's output, starts with an empty memo.
+    neighbour tables for the dataset's lifetime, so each pair's source
+    subgroup is searched once per dataset, k and scaling; a new Dataset, such
+    as a subset, a concat or an augmenter's output, starts with an empty memo.
     """
 
     x: np.ndarray

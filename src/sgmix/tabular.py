@@ -17,6 +17,8 @@ import numpy as np
 
 from .data import Dataset
 
+_LISTED_ROWS = 10  # rejected rows a load_csv error lists one by one
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -38,6 +40,11 @@ class CsvSchema:
             raise ValueError("feature, label, and group columns must be disjoint")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
+        for column in ("label", "group"):
+            positive = getattr(self, f"{column}_positive")
+            if getattr(self, f"{column}_negative") == positive:
+                raise ValueError(
+                    f"{column}_negative must differ from {column}_positive, got {positive!r}")
 
 
 def _map_binary(raw: str, positive: str, negative: str | None, column: str) -> int:
@@ -63,9 +70,10 @@ def _read_text(path) -> str:
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Parse a header-led UTF-8 CSV into a Dataset.
 
-    Any row with an unparseable cell or a nan/inf feature is rejected; all
-    rejected rows are reported together in one error, each with the 1-based
-    file line it starts on. A header may repeat only columns the schema does not read.
+    Any row with an unparseable cell or a nan/inf feature is rejected; one
+    error counts the rejected rows and lists the first _LISTED_ROWS of them,
+    each with the 1-based file line it starts on. A header may repeat only
+    columns the schema does not read.
     """
     with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
@@ -117,7 +125,10 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             ys.append(y)
             zs.append(z)
     if bad:
-        raise ValueError(f"{path}: rejected {len(bad)} row(s):\n  " + "\n  ".join(bad))
+        listed = bad[:_LISTED_ROWS]
+        if len(bad) > _LISTED_ROWS:
+            listed.append(f"… and {len(bad) - _LISTED_ROWS} more")
+        raise ValueError(f"{path}: rejected {len(bad)} row(s):\n  " + "\n  ".join(listed))
     if not xs:
         return Dataset.empty(len(schema.feature_columns))
     return Dataset(np.asarray(xs, dtype=np.float64), np.asarray(ys), np.asarray(zs))

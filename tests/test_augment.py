@@ -374,7 +374,7 @@ def test_fsgm_matches_per_row_oracle_across_blocks_and_ties(monkeypatch, case, s
     ds = scaled_dataset(4)
     pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
     if case == "three-row-blocks":
-        # a block holds at most 3 source draws, so each pair's 10 draws span 4 blocks
+        # a block holds at most 3 source rows, so each pair's search spans several blocks
         smallest = min(subgroup_indices(ds, target).size for _, target in pairs)
         monkeypatch.setattr(neighbors, "_BLOCK_VALUES", 3 * smallest * ds.dim)
     else:  # one decimal on two features, so neighbor distances tie
@@ -395,7 +395,7 @@ def test_fsgm_matches_per_row_oracle_across_blocks_and_ties(monkeypatch, case, s
 def test_fsgm_matches_per_row_oracle_when_draws_repeat(monkeypatch, standardize):
     # (0, 0) keeps 3 rows, so its 20 draws repeat them; one decimal per
     # feature makes neighbor distances tie, and blocks of 2 query rows split
-    # each pair's distinct source rows across blocks
+    # each pair's source rows across blocks
     ds = random_dataset(5, t=90, d=2)
     keep = np.ones(len(ds), dtype=bool)
     keep[subgroup_indices(ds, SubgroupKey(0, 0))[3:]] = False
@@ -415,41 +415,23 @@ def test_fsgm_matches_per_row_oracle_when_draws_repeat(monkeypatch, standardize)
     assert report.lambda_draws == batches == 40
 
 
-def test_fsgm_searches_each_distinct_source_row_once(monkeypatch):
+def test_fsgm_searches_each_pair_source_subgroup_once(monkeypatch):
     ds = scaled_dataset(5)
     cfg = FsgmConfig(pairs=(((0, 0), (1, 1)), ((1, 0), (0, 1))), new_count=200, k=5,
                      alpha=0.6, seed=5)
-    queries = []
+    calls = []
 
     def recording_knn(dataset, query, target, k):
-        queries.append(query)
+        calls.append((target, query))
         return neighbors.knn_in_subgroup(dataset, query, target, k)
 
     monkeypatch.setattr(augment_module, "knn_in_subgroup", recording_knn)
     report = fsgm_augment(ds, cfg)
-    # replay the draws: one source row, then one weight, per batch
-    stream = RngStream(cfg.seed)
-    drawn = [set() for _ in cfg.pairs]
-    for b in range(report.lambda_draws):
-        members = subgroup_indices(ds, cfg.pairs[b % 2].source)
-        drawn[b % 2].add(int(members[stream.integers(members.size)]))
-        beta_sample(stream, cfg.alpha)
-    assert sum(map(len, drawn)) < report.lambda_draws == 40  # some draws repeat
-    assert [len(query) for query in queries] == [len(rows) for rows in drawn]
-    for query, rows in zip(queries, drawn):
-        assert len(np.unique(query, axis=0)) == len(query)
-        assert np.array_equal(query, ds.x[sorted(rows)])
-
-
-def drawn_rows(dataset, config, batches):
-    """Replay fsgm's draws: the set of dataset rows each pair's batches drew."""
-    stream = RngStream(config.seed)
-    drawn = [set() for _ in config.pairs]
-    for b in range(batches):
-        members = subgroup_indices(dataset, config.pairs[b % len(config.pairs)].source)
-        drawn[b % len(config.pairs)].add(int(members[stream.integers(members.size)]))
-        beta_sample(stream, config.alpha)
-    return drawn
+    # one search per pair, over its whole source subgroup in member order
+    assert [target for target, _ in calls] == [pair.target for pair in cfg.pairs]
+    for (_, query), pair in zip(calls, cfg.pairs):
+        assert np.array_equal(query, ds.x[subgroup_indices(ds, pair.source)])
+    assert same_report(report, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
 
 
 def same_report(first, second):
@@ -469,19 +451,17 @@ def test_fsgm_calls_sharing_a_dataset_match_calls_on_fresh_copies(monkeypatch):
     searched = []
     monkeypatch.setattr(augment_module, "knn_in_subgroup", lambda dataset, query, target, k: (
         searched.append(len(query)) or neighbors.knn_in_subgroup(dataset, query, target, k)))
-    wanted = set()
     for alpha, seed, k, standardize, order in (settings[i] for i in
                                                np.random.default_rng(0).permutation(len(settings))):
         cfg = FsgmConfig(pairs=order, new_count=60, k=k, alpha=alpha, seed=seed,
                          standardize=standardize)
         shared = fsgm_augment(ds, cfg)
-        for pair, rows in zip(cfg.pairs, drawn_rows(ds, cfg, shared.lambda_draws)):
-            wanted |= {(pair, k, standardize, row) for row in rows}
         searched_before = len(searched)
         assert same_report(shared, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
         del searched[searched_before:]  # count only the shared dataset's searches
-    # each (pair, k, scaling, source row) was searched exactly once
-    assert sum(searched) == len(wanted)
+    # each (pair, k, scaling) table was searched once, over the pair's whole source subgroup
+    sources = sum(subgroup_indices(ds, SubgroupKey(*source)).size for source, _ in pairs)
+    assert len(searched) == 2 * 2 * 2 and sum(searched) == 2 * 2 * sources
     assert len(ds.memo) == 2 * 2 * 2  # one table per pair, k and scaling, in either order
 
 
@@ -498,27 +478,26 @@ def test_fsgm_searches_only_rows_no_earlier_call_searched(monkeypatch, standardi
         scalings.append(len(x)) or feature_standardizer(x)))
 
     def run(seed):
-        """The call's report, its drawn rows, and its searches and scalings."""
+        """The call's report, and its searches and scalings."""
         del calls[:], scalings[:]
         cfg = FsgmConfig(pairs=pairs, new_count=100, k=5, alpha=0.6, seed=seed,
                          standardize=standardize)
         report = fsgm_augment(ds, cfg)
         seen = calls[:], scalings[:]
         assert same_report(report, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
-        return report, drawn_rows(ds, cfg, report.lambda_draws), *seen
+        return report, *seen
 
-    first, first_rows, first_calls, first_scalings = run(5)
-    assert [len(query) for _, query in first_calls] == [len(rows) for rows in first_rows]
+    # the first call searches each pair's whole source subgroup and scales once
+    first, first_calls, first_scalings = run(5)
+    assert [target for target, _ in first_calls] == [SubgroupKey(*t) for _, t in pairs]
+    for (_, query), (source, _) in zip(first_calls, pairs):
+        assert np.array_equal(query, space[subgroup_indices(ds, SubgroupKey(*source))])
     assert first_scalings == [len(ds)] * standardize
-    _, second_rows, second_calls, _ = run(6)
-    new_rows = [second - first for first, second in zip(first_rows, second_rows)]
-    # the seeds overlap on some rows of each pair and not on others
-    assert all(rows and rows != second for rows, second in zip(new_rows, second_rows))
-    assert [target for target, _ in second_calls] == [SubgroupKey(*t) for _, t in pairs]
-    for (_, query), rows in zip(second_calls, new_rows):
-        assert np.array_equal(query, space[sorted(rows)])
-    repeat, _, repeat_calls, repeat_scalings = run(5)
-    assert repeat_calls == repeat_scalings == [] and same_report(repeat, first)
+    # every later seed reads the tables: no search and no scaling
+    for seed in (6, 7, 5):
+        report, later_calls, later_scalings = run(seed)
+        assert later_calls == later_scalings == []
+    assert same_report(report, first)
 
 
 def test_new_datasets_start_with_an_empty_memo():
@@ -532,7 +511,7 @@ def test_new_datasets_start_with_an_empty_memo():
 
 
 def test_fsgm_with_more_pairs_than_batches():
-    # the second pair draws no batch, so its neighbor search gets no queries
+    # the second pair draws no batch, yet its table is still searched whole
     ds = random_dataset(6, t=40, d=2)
     cfg = FsgmConfig(pairs=(((0, 0), (1, 0)), ((1, 1), (0, 1))), new_count=3, k=3, seed=1)
     report = fsgm_augment(ds, cfg)

@@ -300,6 +300,8 @@ BAD_VALUES = [
     ("scenario.t00 = -5", "csv", "scenario.t00"),
     ("experiment.methods = original,original", "scenario", "methods must not repeat"),
     ("experiment.models = forest,forest", "scenario", "models must not repeat"),
+    ("csv.label_negative = pass", "csv", "label_negative must differ from label_positive"),
+    ("csv.group_negative = A", "csv", "group_negative must differ from group_positive"),
 ]
 
 
@@ -309,8 +311,9 @@ BAD_VALUES = [
 ])
 def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, name):
     cfg = tmp_path / "bad.cfg"
-    if source == "csv":
-        schema = "".join(f"{key} = {value}\n" for key, value in STANDIN_SCHEMA.items())
+    if source == "csv":  # the line's key replaces the stand-in schema's own
+        schema = "".join(f"{key} = {value}\n" for key, value in STANDIN_SCHEMA.items()
+                         if key != line.split("=")[0].strip())
         cfg.write_text(schema + line + "\n")
         data = ["--csv", standin_path]
     else:
@@ -320,7 +323,7 @@ def test_cli_rejects_bad_value(tmp_path, capsys, standin_path, line, source, nam
     code = main(["--config", str(cfg), *data, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and name in err, err
+    assert err.startswith("error: ") and name in err and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out.exists()
 

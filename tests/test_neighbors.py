@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -131,24 +130,25 @@ def full_sort_knn(ds, query, key, k):
 @pytest.mark.parametrize("rows_per_block", [None, 3])
 @pytest.mark.parametrize("rounded", [False, True])
 def test_knn_block_matches_single_queries_and_full_sort(monkeypatch, rows_per_block, rounded):
-    ds = random_dataset(21, t=160, d=2 if rounded else 4)
-    if rounded:  # one decimal on a small grid, so distances tie at the k-th place
-        ds = Dataset(np.round(ds.x, 1), ds.y, ds.z)
-    key = SubgroupKey(1, 0)
-    members = subgroup_indices(ds, key)
-    if rows_per_block:  # block boundaries then fall inside the 37 queries
-        monkeypatch.setattr(neighbors, "_BLOCK_VALUES", rows_per_block * members.size * ds.dim)
-    queries = ds.x[:37]
     ties_at_kth = 0
-    for k in (1, 5, members.size):
-        block = knn_in_subgroup(ds, queries, key, k)
-        assert block.shape == (37, k)
-        for q, row in zip(queries, block):
-            np.testing.assert_array_equal(row, knn_in_subgroup(ds, q, key, k))
-            np.testing.assert_array_equal(row, full_sort_knn(ds, q, key, k))
-            if k < members.size:
-                dist = np.sort(np.sqrt(((ds.x[members] - q) ** 2).sum(axis=1)))
-                ties_at_kth += dist[k - 1] == dist[k]
+    for d in (2 if rounded else 4, 7, 9):  # 7 and 9 sit on both sides of 8 features
+        ds = random_dataset(21, t=160, d=d)
+        if rounded:  # one decimal on a small grid, so distances tie at the k-th place
+            ds = Dataset(np.round(ds.x, 1), ds.y, ds.z)
+        key = SubgroupKey(1, 0)
+        members = subgroup_indices(ds, key)
+        if rows_per_block:  # block boundaries then fall inside the 37 queries
+            monkeypatch.setattr(neighbors, "_BLOCK_VALUES", rows_per_block * members.size * d)
+        queries = ds.x[:37]
+        for k in (1, 5, members.size):
+            block = knn_in_subgroup(ds, queries, key, k)
+            assert block.shape == (37, k)
+            for q, row in zip(queries, block):
+                np.testing.assert_array_equal(row, knn_in_subgroup(ds, q, key, k))
+                np.testing.assert_array_equal(row, full_sort_knn(ds, q, key, k))
+                if k < members.size:
+                    dist = np.sort(np.sqrt(((ds.x[members] - q) ** 2).sum(axis=1)))
+                    ties_at_kth += dist[k - 1] == dist[k]
     assert (ties_at_kth > 0) == rounded
 
 
@@ -187,7 +187,7 @@ def test_knn_orders_features_whose_squared_gaps_overflow(size):
     assert found.tolist() == [[3, 2], [4, 1]]
 
 
-@pytest.mark.parametrize("d", [7, 8, 130])  # the column loop; the (rows, M, d) block twice
+@pytest.mark.parametrize("d", [7, 8, 130])  # one (rows, M, d) block at a time at every d
 def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
     # 500 queries against 500 members: one (500, 500, d) difference array
     # would take 2 MB per feature; blocks of queries keep the peak near one block.
@@ -203,37 +203,3 @@ def test_knn_block_search_peak_memory_stays_far_below_the_full_block(d):
         tracemalloc.stop()
     assert out.shape == (500, 5)
     assert peak < full_block_bytes / 8, peak / full_block_bytes
-
-
-def test_column_distances_keep_the_bits_of_numpys_reduction_order():
-    # Below 8 features the kernel adds feature columns left to right, as
-    # np.add.reduce sums a short contiguous axis; from 8 on it sums a
-    # C-ordered difference array itself. If this fails below 8, numpy's
-    # reduction order changed; from 8 on, the array's layout did.
-    stream = np.random.default_rng(0)
-    dims = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257, 513]
-    for d, members, rows in itertools.product(dims, (1, 2, 297), (1, 29)):
-        scale = 10.0 ** stream.uniform(-3, 3, size=d)
-        x = stream.standard_normal((members, d)) * scale
-        q = stream.standard_normal((rows, d)) * scale
-        expected = np.sqrt(np.square(x - q[:, None]).sum(-1))
-        got = np.sqrt(neighbors._squared_distances(np.ascontiguousarray(x.T), q))
-        assert got.shape == (rows, members)
-        differ = got.view(np.int64) != expected.view(np.int64)
-        assert not differ.any(), (
-            f"d={d}, {members} members, {rows} rows: {differ.mean():.0%} of distances "
-            "differ from numpy's own sum; its reduction order changed")
-
-
-@pytest.mark.parametrize("k", [1, 3, 5, 40])
-def test_k_smallest_with_and_without_ties_at_the_kth_matches_a_stable_sort(k):
-    stream = np.random.default_rng(k)
-    tied = stream.integers(0, 6, size=(12, 40)).astype(np.float64)  # many ties at the k-th
-    distinct = np.array([stream.permutation(40) for _ in range(12)], dtype=np.float64)
-    mixed = np.concatenate([tied, distinct])[stream.permutation(24)]
-    for dist in (tied, distinct, mixed):
-        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        np.testing.assert_array_equal(neighbors._k_smallest(dist, k), expected)
-    kth = np.sort(tied, axis=1)[:, k - 1:k]
-    if k < 40:  # the tie rule, not only the fast path, picked some rows
-        assert ((tied <= kth).sum(axis=1) > k).any()

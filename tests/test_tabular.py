@@ -108,6 +108,20 @@ def test_load_csv_reports_all_bad_rows_with_line_numbers(tmp_path):
     assert "line 8: non-finite feature 'weight': '-inf'" in message
 
 
+def test_load_csv_lists_the_first_ten_rejected_rows_and_counts_the_rest(tmp_path):
+    # rows alternate good and bad, so the bad ones sit on file lines 3, 5, ..., 51
+    rows = [f"1.{i},6{i % 10},yes,north\n1.{i},6{i % 10},maybe,north\n" for i in range(25)]
+    path = write(tmp_path, "height,weight,outcome,site\n" + "".join(rows))
+    with pytest.raises(ValueError) as exc:
+        load_csv(path, toy_schema())
+    lines = str(exc.value).split("\n")
+    assert lines[0] == f"{path}: rejected 25 row(s):"
+    assert lines[1:] == [
+        *(f"  line {3 + 2 * i}: unknown value 'maybe' in column 'outcome'" for i in range(10)),
+        "  … and 15 more",
+    ]
+
+
 def test_load_csv_line_numbers_count_quoted_multi_line_cells_and_blank_lines(tmp_path):
     schema = CsvSchema(feature_columns=("a",), label_column="y", label_positive="1",
                        label_negative="0", group_column="z", group_positive="1",
@@ -188,6 +202,14 @@ def test_schema_validation():
             group_positive="1",
             delimiter=";;",
         )
+
+
+@pytest.mark.parametrize("column", ["label", "group"])
+def test_schema_rejects_a_negative_value_equal_to_its_positive(column):
+    values = {"label_positive": "1", "group_positive": "1", f"{column}_negative": "1"}
+    with pytest.raises(ValueError) as exc:
+        CsvSchema(feature_columns=("a",), label_column="y", group_column="z", **values)
+    assert str(exc.value) == f"{column}_negative must differ from {column}_positive, got '1'"
 
 
 def test_bundled_standin_loads(standin_path, standin_schema):
