@@ -3,11 +3,11 @@
 The central routine, :func:`fsgm_augment`, draws a sample from a chosen
 source subgroup, finds its k nearest neighbors inside a chosen target
 subgroup, and emits convex combinations of the pair sharing one Beta-drawn
-mixing weight per source draw. It makes every draw first and then reads
-each source's neighbors from its pair's table. A row's neighbors depend only
-on the dataset, so the dataset keeps the tables: each pair's source subgroup
-is searched once per dataset, k and scaling, however many calls draw from
-it.
+mixing weight per source draw. It fetches every pair's neighbor table
+before its first draw, then draws, then mixes. A row's neighbors depend only
+on the dataset, so the dataset's memo keeps each pair's source members with
+their table: each pair's source subgroup is searched once per dataset, k and
+scaling, however many calls draw from it.
 Class and group labels of the new samples are the indicator of the
 interpolated label reaching 1/2, so each new point inherits the labels of
 whichever parent it lies closer to.
@@ -22,7 +22,7 @@ import numpy as np
 from .data import (
     Dataset, SubgroupKey, check_sizes, concat, feature_standardizer, subgroup_indices,
 )
-from .neighbors import knn_in_subgroup, target_members
+from .neighbors import knn_in_subgroup
 from .rng import RngStream, beta_sample
 
 
@@ -141,49 +141,45 @@ def fsgm_augment(dataset: Dataset, config: FsgmConfig) -> AugmentationReport:
 
     Each batch: pick the next pair round-robin, draw a uniform source sample,
     then one mixing weight, and emit k mixed samples sharing that weight, one
-    per nearest target-subgroup neighbor of the source. Every batch is drawn
-    first; then every batch reads its source's neighbors from the pair's table
-    in dataset.memo. Each pair's source subgroup is searched once per dataset,
-    k and scaling, by the first call that needs the table.
+    per nearest target-subgroup neighbor of the source. Every pair's table is
+    fetched before the first draw: a dataset.memo entry holds the pair's source
+    members and their neighbors, searched by the first call on the dataset
+    that needs them. Every batch is drawn next, then mixed from the tables.
     The last of the ceil(new_count / k) batches is truncated so the count is exact.
     """
-    source_members = []
-    for pair in config.pairs:
-        src = subgroup_indices(dataset, pair.source)
-        if src.size == 0:
-            raise ValueError(
-                f"empty source subgroup (y={pair.source.y}, z={pair.source.z})"
-            )
-        target_members(dataset, pair.target, config.k)  # fail before any draw
-        source_members.append(src)
-
     n, k, stride = config.new_count, config.k, len(config.pairs)
-    batches = -(-n // k)
-    stream = RngStream(config.seed)
-    sizes = [members.size for members in source_members]
-    picks, lams = [], []
-    for b in range(batches):
-        picks.append(stream.integers(sizes[b % stride]))
-        lams.append(beta_sample(stream, config.alpha))
-    picks = np.array(picks, dtype=np.int64)
     # a row's neighbors depend only on the dataset, the target, k and the
-    # scaling, so the first call that needs a pair's table searches the
-    # pair's whole source subgroup and the dataset keeps the table, whose
-    # row i holds source member i's neighbors
+    # scaling, so the first call that needs a pair's table searches the pair's
+    # whole source subgroup; the dataset keeps (source members, table), whose
+    # row i holds member i's neighbors
     search = None  # the search space, z-scored when asked, built on first need
-    sources = np.empty(batches, dtype=np.int64)
-    neighbors = np.empty((batches, k), dtype=np.int64)
-    for p, (pair, members) in enumerate(zip(config.pairs, source_members)):
+    tables = []
+    for pair in config.pairs:
         key = (pair, k, config.standardize)
         if key not in dataset.memo:
+            members = subgroup_indices(dataset, pair.source)
+            if members.size == 0:
+                raise ValueError(f"empty source subgroup (y={pair.source.y}, z={pair.source.z})")
             if search is None:
                 search = dataset
                 if config.standardize:
                     mean, std = feature_standardizer(dataset.x)
                     search = Dataset((dataset.x - mean) / std, dataset.y, dataset.z)
-            dataset.memo[key] = knn_in_subgroup(search, search.x[members], pair.target, k)
+            dataset.memo[key] = members, knn_in_subgroup(search, search.x[members], pair.target, k)
+        tables.append(dataset.memo[key])
+
+    batches = -(-n // k)
+    stream = RngStream(config.seed)
+    picks, lams = [], []
+    for b in range(batches):
+        picks.append(stream.integers(tables[b % stride][0].size))
+        lams.append(beta_sample(stream, config.alpha))
+    picks = np.array(picks, dtype=np.int64)
+    sources = np.empty(batches, dtype=np.int64)
+    neighbors = np.empty((batches, k), dtype=np.int64)
+    for p, (members, table) in enumerate(tables):
         sources[p::stride] = members[picks[p::stride]]
-        neighbors[p::stride] = dataset.memo[key][picks[p::stride]]
+        neighbors[p::stride] = table[picks[p::stride]]
 
     produced = _mix_rows(dataset, np.repeat(sources, k)[:n], neighbors.ravel()[:n],
                          np.repeat(np.array(lams), k)[:n])

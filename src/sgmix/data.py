@@ -31,10 +31,11 @@ class Dataset:
     and group labels in read-only 0/1 int vectors. A frozen dataclass: setting
     any attribute raises AttributeError, and == and hash are identity.
     Augmenters never mutate a Dataset, they return new ones, so every cell of
-    a replicate reads the same train and test sets. memo keeps fsgm's
-    neighbour tables for the dataset's lifetime, so each pair's source
-    subgroup is searched once per dataset, k and scaling; a new Dataset, such
-    as a subset, a concat or an augmenter's output, starts with an empty memo.
+    a replicate reads the same train and test sets. memo keeps each fsgm
+    pair's source members and neighbour table for the dataset's lifetime, so
+    each pair's source subgroup is searched once per dataset, k and scaling; a
+    new Dataset, such as a subset, a concat or an augmenter's output, starts
+    with an empty memo.
     """
 
     x: np.ndarray
@@ -99,10 +100,7 @@ def concat(first: Dataset, second: Dataset) -> Dataset:
 
 def subgroup_counts(dataset: Dataset) -> np.ndarray:
     """Count samples per (y, z) cell; counts[y, z] indexes class then group."""
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for key in ALL_SUBGROUPS:
-        counts[key.y, key.z] = int(np.sum((dataset.y == key.y) & (dataset.z == key.z)))
-    return counts
+    return np.bincount(2 * dataset.y + dataset.z, minlength=4).reshape(2, 2)
 
 
 def subgroup_indices(dataset: Dataset, key: SubgroupKey) -> np.ndarray:

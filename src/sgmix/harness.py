@@ -481,6 +481,8 @@ def emit_results(table: ResultTable, path) -> str:
     lines = [RESULTS_HEADER]
     for row in table.rows:
         alpha = "" if row.alpha is None else f"{row.alpha:.6f}"
+        if alpha and float(alpha) != row.alpha:  # 6 decimals stay where they read back
+            alpha = repr(float(row.alpha))
         lines.append(
             f"{row.method},{row.model},{row.replicate},{alpha},"
             f"{row.accuracy:.6f},{row.dp_gap_signed:.6f},{row.fairness:.6f},"

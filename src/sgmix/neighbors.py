@@ -13,17 +13,6 @@ from .data import Dataset, SubgroupKey, check_finite, check_sizes, subgroup_indi
 _BLOCK_VALUES = 2**15
 
 
-def target_members(dataset: Dataset, target: SubgroupKey, k: int) -> np.ndarray:
-    """Ascending dataset indices of the target subgroup, which must hold at least k."""
-    members = subgroup_indices(dataset, SubgroupKey(*target))
-    if members.size < k:
-        raise ValueError(
-            f"insufficient target subgroup (y={target[0]}, z={target[1]}): "
-            f"has {members.size} members, need k={k}"
-        )
-    return members
-
-
 def knn_in_subgroup(
     dataset: Dataset,
     query: np.ndarray,
@@ -34,11 +23,11 @@ def knn_in_subgroup(
 
     A query of shape (d,) returns shape (k,); a block of queries of shape
     (m, d) returns shape (m, k), row r for query row r, as m one-row calls
-    would. Ties in distance go to the smaller dataset index. Distances are
-    Euclidean in the dataset's own feature space; a caller that wants
-    z-scored distances passes a z-scored dataset and query. Each block of
-    queries allocates one (rows, members, d) difference array of about
-    _BLOCK_VALUES values.
+    would. The target subgroup must hold at least k members. Ties in distance
+    go to the smaller dataset index. Distances are Euclidean in the dataset's
+    own feature space; a caller that wants z-scored distances passes a z-scored
+    dataset and query. Each block of queries allocates one (rows, members, d)
+    difference array of about _BLOCK_VALUES values.
     """
     check_sizes(k=k)
     if dataset.dim == 0:
@@ -49,7 +38,12 @@ def knn_in_subgroup(
             f"query has shape {query.shape}, expected ({dataset.dim},) or (m, {dataset.dim})"
         )
     check_finite(query)
-    members = target_members(dataset, target, k)
+    members = subgroup_indices(dataset, SubgroupKey(*target))
+    if members.size < k:
+        raise ValueError(
+            f"insufficient target subgroup (y={target[0]}, z={target[1]}): "
+            f"has {members.size} members, need k={k}"
+        )
     xm = dataset.x[members]
     queries = np.atleast_2d(query)
     # a finite gap can overflow when squared and summed; distances order the

@@ -471,32 +471,35 @@ def test_fsgm_searches_only_rows_no_earlier_call_searched(monkeypatch, standardi
     mean, std = feature_standardizer(ds.x)
     space = (ds.x - mean) / std if standardize else ds.x
     pairs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
-    calls, scalings = [], []
+    calls, scalings, scans = [], [], []
     monkeypatch.setattr(augment_module, "knn_in_subgroup", lambda dataset, query, target, k: (
         calls.append((target, query)) or neighbors.knn_in_subgroup(dataset, query, target, k)))
     monkeypatch.setattr(augment_module, "feature_standardizer", lambda x: (
         scalings.append(len(x)) or feature_standardizer(x)))
+    monkeypatch.setattr(augment_module, "subgroup_indices", lambda dataset, key: (
+        scans.append(key) or subgroup_indices(dataset, key)))
 
     def run(seed):
-        """The call's report, and its searches and scalings."""
-        del calls[:], scalings[:]
+        """The call's report, and its searches, scalings and subgroup scans."""
+        del calls[:], scalings[:], scans[:]
         cfg = FsgmConfig(pairs=pairs, new_count=100, k=5, alpha=0.6, seed=seed,
                          standardize=standardize)
         report = fsgm_augment(ds, cfg)
-        seen = calls[:], scalings[:]
+        seen = calls[:], scalings[:], scans[:]
         assert same_report(report, fsgm_augment(Dataset(ds.x, ds.y, ds.z), cfg))
         return report, *seen
 
     # the first call searches each pair's whole source subgroup and scales once
-    first, first_calls, first_scalings = run(5)
+    first, first_calls, first_scalings, first_scans = run(5)
     assert [target for target, _ in first_calls] == [SubgroupKey(*t) for _, t in pairs]
     for (_, query), (source, _) in zip(first_calls, pairs):
         assert np.array_equal(query, space[subgroup_indices(ds, SubgroupKey(*source))])
     assert first_scalings == [len(ds)] * standardize
-    # every later seed reads the tables: no search and no scaling
+    assert first_scans == [SubgroupKey(*s) for s, _ in pairs]
+    # every later seed reads the tables: no search, no scaling, no subgroup scan
     for seed in (6, 7, 5):
-        report, later_calls, later_scalings = run(seed)
-        assert later_calls == later_scalings == []
+        report, later_calls, later_scalings, later_scans = run(seed)
+        assert later_calls == later_scalings == later_scans == []
     assert same_report(report, first)
 
 

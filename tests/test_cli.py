@@ -213,7 +213,8 @@ def test_cli_diverged_mlp_fails_its_cell_without_numpy_warnings(tmp_path):
 
 def test_cli_run_at_a_tiny_alpha_ends(tmp_path):
     """Every Gamma(1e-30) draw underflows to 0; the run must still end, here
-    within a child process's timeout, and raise no numpy warning."""
+    within a child process's timeout, and raise no numpy warning. The alpha
+    column reads back as 1e-30, which 6 decimals would write as 0."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(fast_config_text())
     out = tmp_path / "results.csv"
@@ -224,7 +225,7 @@ def test_cli_run_at_a_tiny_alpha_ends(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     rows = out.read_text().split("\n")[1:-1]
     assert [row.split(",")[:4] for row in rows] == [
-        ["fsgm", "forest", "0", "0.000000"], ["vanilla-mixup", "forest", "0", "0.000000"]]
+        ["fsgm", "forest", "0", "1e-30"], ["vanilla-mixup", "forest", "0", "1e-30"]]
 
 
 def test_cli_dump_comes_before_the_fit_that_fails(tmp_path, capsys):

@@ -807,6 +807,15 @@ def test_emit_results_format(tmp_path, capsys):
     assert "fsgm" in printed and "original" in printed
 
 
+@pytest.mark.parametrize("alpha", [1e-320, 0.1234567])
+def test_emit_results_writes_an_alpha_that_reads_back_exactly(alpha, tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    emit_results(run_experiment(small_config(alpha_grid=(alpha,), replicates=1)), out)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["fsgm", "original"]
+    assert float(rows[0][3]) == alpha and rows[1][3] == ""
+
+
 def test_emit_results_empty_table(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     emit_results(ResultTable(), out)
